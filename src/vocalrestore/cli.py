@@ -1,8 +1,7 @@
 """Command-line surface: restore, degrade, eval, rank, bench.
 
 All commands write outputs atomically (temp file + rename) and exit nonzero
-on error: 2 missing input, 3 sample-rate mismatch, 4 length mismatch,
-5 disconnected comparison graph, 1 anything else.
+on error, with the code that EXIT_CODES gives for the exception.
 """
 
 from __future__ import annotations
@@ -10,10 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,10 +24,11 @@ from .audio_io import Waveform, read_wav, write_wav
 from .errors import (
     ConnectivityError,
     LengthMismatchError,
+    MissingInputError,
     SampleRateError,
     VocalRestoreError,
 )
-from .generator import ModelConfig, load_weights, restore_chunked
+from .generator import ModelConfig, check_weights, load_weights, restore, restore_chunked
 from .spectral import StftParams, stft
 
 EXIT_OK = 0
@@ -37,26 +38,27 @@ EXIT_SAMPLE_RATE = 3
 EXIT_LENGTH = 4
 EXIT_DISCONNECTED = 5
 
+# Exception type -> exit code; main() uses the entry of the most specific
+# type in the exception's MRO.
+EXIT_CODES = {
+    MissingInputError: EXIT_MISSING_FILE,
+    SampleRateError: EXIT_SAMPLE_RATE,
+    LengthMismatchError: EXIT_LENGTH,
+    ConnectivityError: EXIT_DISCONNECTED,
+    VocalRestoreError: EXIT_ERROR,
+    OSError: EXIT_ERROR,
+    ValueError: EXIT_ERROR,
+}
 
-def _atomic_write_text(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
-
-def _atomic_write_wav(wave: Waveform, path: str, encoding: str = "float32") -> None:
+def _atomic_write(path: str, write) -> None:
+    """Call write(tmp) on a temp file beside path, then rename it onto path,
+    so a failure never leaves a partial output behind."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     os.close(fd)
     try:
-        write_wav(wave, tmp, encoding)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -64,10 +66,17 @@ def _atomic_write_wav(wave: Waveform, path: str, encoding: str = "float32") -> N
         raise
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write text and a newline to the file out, or print it when out is unset."""
+    if out:
+        _atomic_write(out, lambda tmp: pathlib.Path(tmp).write_text(text + "\n"))
+    else:
+        print(text)
+
+
 def _require(path: str) -> str:
     if not os.path.exists(path):
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_MISSING_FILE)
+        raise MissingInputError(f"no such file: {path}")
     return path
 
 
@@ -75,6 +84,7 @@ def _load_model(args):
     weights = load_weights(_require(args.weights))
     with open(_require(args.config)) as fh:
         config = ModelConfig.from_text(fh.read())
+    check_weights(weights, config)
     return weights, config
 
 
@@ -86,19 +96,10 @@ class BenchReport:
     mean_s: float
     audio_s: float
     rtf: float
-    threads: int
+    threads: int    # BLAS thread cap applied, 0 when none was
 
     def to_json(self) -> str:
-        d = {
-            "runs": self.runs,
-            "median_s": self.median_s,
-            "p90_s": self.p90_s,
-            "mean_s": self.mean_s,
-            "audio_s": self.audio_s,
-            "rtf": self.rtf,
-            "threads": self.threads,
-        }
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def run_bench(
@@ -111,17 +112,19 @@ def run_bench(
     wave = Waveform(0.1 * rng.standard_normal(n), config.sample_rate)
 
     ctx = None
+    applied = 0
     if threads > 0:
         try:
             from threadpoolctl import threadpool_limits
-            # Oversubscribing physical cores thrashes BLAS; cap at what exists.
-            ctx = threadpool_limits(limits=min(threads, os.cpu_count() or 1))
         except ImportError:
-            pass
+            print("warning: threadpoolctl is not installed; no BLAS thread cap applied",
+                  file=sys.stderr)
+        else:
+            # Oversubscribing physical cores thrashes BLAS; cap at what exists.
+            applied = min(threads, os.cpu_count() or 1)
+            ctx = threadpool_limits(limits=applied)
 
     try:
-        from .generator import restore
-
         for _ in range(warmup):
             restore(wave, weights, config)
         times = []
@@ -142,21 +145,17 @@ def run_bench(
         mean_s=float(np.mean(times)),
         audio_s=seconds,
         rtf=seconds / median,
-        threads=threads,
+        threads=applied,
     )
 
 
 def cmd_restore(args) -> int:
     weights, config = _load_model(args)
     wave = read_wav(_require(args.infile))
-    try:
-        t0 = time.perf_counter()
-        out = restore_chunked(wave, weights, config)
-        elapsed = time.perf_counter() - t0
-    except SampleRateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLE_RATE
-    _atomic_write_wav(out, args.outfile)
+    t0 = time.perf_counter()
+    out = restore_chunked(wave, weights, config)
+    elapsed = time.perf_counter() - t0
+    _atomic_write(args.outfile, lambda tmp: write_wav(out, tmp))
     rtf = wave.duration / elapsed if elapsed > 0 else float("inf")
     print(f"restored {wave.duration:.2f}s in {elapsed:.3f}s (RTF {rtf:.2f})")
     return EXIT_OK
@@ -172,26 +171,18 @@ def cmd_degrade(args) -> int:
     if args.seed is not None:
         spec = degrade_mod.DegradationSpec(spec.stages, args.seed)
     degraded, trace = degrade_mod.apply_chain(wave, spec)
-    _atomic_write_wav(degraded, args.outfile)
-    trace_text = trace.to_json_lines()
-    if args.trace_out:
-        _atomic_write_text(args.trace_out, trace_text + "\n")
-    else:
-        print(trace_text)
+    _atomic_write(args.outfile, lambda tmp: write_wav(degraded, tmp))
+    _emit(trace.to_json_lines(), args.trace_out)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     ref = read_wav(_require(args.ref))
     est = read_wav(_require(args.est))
-    try:
-        params = StftParams(n_fft=args.n_fft, hop=args.hop)
-        ref_spec = stft(ref, params)
-        est_spec = stft(est, params)
-        report = losses_mod.reconstruction_loss(est, ref, est_spec, ref_spec)
-    except LengthMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LENGTH
+    params = StftParams(n_fft=args.n_fft, hop=args.hop)
+    ref_spec = stft(ref, params)
+    est_spec = stft(est, params)
+    report = losses_mod.reconstruction_loss(est, ref, est_spec, ref_spec)
     out = json.dumps(
         {
             "wav": report.wav,
@@ -201,10 +192,7 @@ def cmd_eval(args) -> int:
         },
         sort_keys=True,
     )
-    if args.out:
-        _atomic_write_text(args.out, out + "\n")
-    else:
-        print(out)
+    _emit(out, args.out)
     return EXIT_OK
 
 
@@ -213,16 +201,8 @@ def cmd_rank(args) -> int:
         data = ranking_mod.ComparisonSet.from_csv(fh.read())
     if args.category:
         data = ranking_mod.category_split(data, args.category)
-    try:
-        report = ranking_mod.rank_report(data, categories=not args.category)
-    except ConnectivityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    out = ranking_mod.report_to_json(report)
-    if args.out:
-        _atomic_write_text(args.out, out + "\n")
-    else:
-        print(out)
+    report = ranking_mod.rank_report(data, categories=not args.category)
+    _emit(ranking_mod.report_to_json(report), args.out)
     return EXIT_OK
 
 
@@ -232,11 +212,7 @@ def cmd_bench(args) -> int:
         weights, config, args.seconds, args.runs, args.warmup,
         seed=args.seed, threads=args.threads,
     )
-    out = report.to_json()
-    if args.out:
-        _atomic_write_text(args.out, out + "\n")
-    else:
-        print(out)
+    _emit(report.to_json(), args.out)
     return EXIT_OK
 
 
@@ -285,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=3, help="warmup runs (default 3)")
     p.add_argument("--seed", type=int, default=0, help="input noise seed (default 0)")
     p.add_argument("--threads", type=int, default=0,
-                   help="BLAS thread cap, 0 = leave unchanged (default 0)")
+                   help="BLAS thread cap via threadpoolctl, 0 = leave unchanged; "
+                        "the report gives the cap applied (default 0)")
     p.add_argument("--out", default=None, help="write JSON report here (default: stdout)")
     p.set_defaults(func=cmd_bench)
     return parser
@@ -295,20 +272,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except SampleRateError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLE_RATE
-    except LengthMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LENGTH
-    except ConnectivityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except (VocalRestoreError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Randomness comes from numpy's Philox bit generator, a 64-bit counter-based
 generator, so traces replay bit-exactly across platforms. Every stage
 preserves the input length exactly and never emits NaN/Inf for finite input.
 
-Default stage order: freq_shape -> reverb -> clip -> add_noise ->
-spectral_corrupt -> time_varying_gain.
+Default stage order (the order of STAGES): freq_shape -> reverb -> clip ->
+add_noise -> spectral_corrupt -> time_varying_gain.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from .spectral import ComplexSpectrogram, StftParams, istft, stft
 CORRUPT_WINDOWS = (512, 1024, 2048)
 CORRUPT_HOPS = (256, 512, 1024)
 CLIP_CURVES = ("hard", "tanh", "cubic")
-STAGE_ORDER = (
-    "freq_shape",
-    "reverb",
-    "clip",
-    "add_noise",
-    "spectral_corrupt",
-    "time_varying_gain",
-)
+FREQ_SHAPE_POINTS = 5
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -131,6 +124,15 @@ def add_noise(wave: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     return Waveform(wave.samples + scale * n, wave.sample_rate)
 
 
+def _corrupt_grid(rng) -> tuple:
+    """Rejection-sample (window, hop) from the corrupt grids with 2*hop <= window."""
+    while True:
+        n_fft = int(rng.choice(CORRUPT_WINDOWS))
+        hop = int(rng.choice(CORRUPT_HOPS))
+        if 2 * hop <= n_fft:
+            return n_fft, hop
+
+
 def spectral_corrupt(
     wave: Waveform,
     mask_fraction: float,
@@ -147,11 +149,7 @@ def spectral_corrupt(
         raise ConfigError(f"mask_fraction must be in [0, 1], got {mask_fraction}")
     rng = _rng(seed)
     if n_fft is None or hop is None:
-        while True:
-            n_fft = int(rng.choice(CORRUPT_WINDOWS))
-            hop = int(rng.choice(CORRUPT_HOPS))
-            if 2 * hop <= n_fft:
-                break
+        n_fft, hop = _corrupt_grid(rng)
     params = StftParams(n_fft=n_fft, hop=hop)
     spec = stft(wave, params)
     mag = np.abs(spec.bins)
@@ -191,6 +189,84 @@ def time_varying_gain(
 # ---------------------------------------------------------------------------
 
 
+def _sample_freq_shape(rng, r: dict, seed: int, sr: int) -> dict:
+    freqs = np.logspace(np.log10(50.0), np.log10(sr / 2.0), FREQ_SHAPE_POINTS)
+    return {
+        "freqs_hz": [float(f) for f in freqs],
+        "gains_db": [float(rng.uniform(*r["gain_db"])) for _ in range(FREQ_SHAPE_POINTS)],
+    }
+
+
+def _sample_spectral_corrupt(rng, r: dict, seed: int, sr: int) -> dict:
+    n_fft, hop = _corrupt_grid(rng)
+    return {
+        "mask_fraction": float(rng.uniform(*r["mask_fraction"])),
+        "phase_noise_std": float(rng.uniform(*r["phase_noise_std"])),
+        "n_fft": n_fft,
+        "hop": hop,
+        "seed": seed,
+    }
+
+
+# name -> (default ranges, sample, apply), in chain order.
+# sample(rng, ranges, sub_seed, sample_rate) returns the trace parameters,
+# drawn in a fixed order; apply(wave, params) runs the stage. Each apply looks
+# its stage function up by module-global name when it runs, so wrappers
+# installed on this module (perfbench/tracing.py) see the call.
+STAGES = {
+    "freq_shape": (
+        {"gain_db": (-30.0, 0.0)},
+        _sample_freq_shape,
+        lambda wave, p: freq_shape(wave, **p),
+    ),
+    "reverb": (
+        {"rt60": (0.1, 1.5), "wet": (0.1, 0.9)},
+        lambda rng, r, seed, sr: {
+            "rt60": float(rng.uniform(*r["rt60"])),
+            "wet": float(rng.uniform(*r["wet"])),
+            "seed": seed,
+        },
+        lambda wave, p: reverb(wave, **p),
+    ),
+    "clip": (
+        {"drive": (1.0, 10.0)},
+        lambda rng, r, seed, sr: {
+            "curve": CLIP_CURVES[int(rng.integers(len(CLIP_CURVES)))],
+            "drive": float(rng.uniform(*r["drive"])),
+        },
+        lambda wave, p: clip(wave, **p),
+    ),
+    "add_noise": (
+        {"snr_db": (-5.0, 30.0)},
+        lambda rng, r, seed, sr: {"snr_db": float(rng.uniform(*r["snr_db"])), "seed": seed},
+        lambda wave, p: add_noise(
+            wave, Waveform(pink_noise(len(wave), p["seed"]), wave.sample_rate), p["snr_db"]
+        ),
+    ),
+    "spectral_corrupt": (
+        {"mask_fraction": (0.0, 0.3), "phase_noise_std": (0.0, 0.8)},
+        _sample_spectral_corrupt,
+        lambda wave, p: spectral_corrupt(wave, **p),
+    ),
+    "time_varying_gain": (
+        {"cutoff_hz": (0.5, 8.0), "depth": (0.0, 0.5)},
+        lambda rng, r, seed, sr: {
+            "cutoff_hz": float(rng.uniform(*r["cutoff_hz"])),
+            "depth": float(rng.uniform(*r["depth"])),
+            "seed": seed,
+        },
+        lambda wave, p: time_varying_gain(wave, **p),
+    ),
+}
+STAGE_ORDER = tuple(STAGES)
+
+
+def _stage(name: str) -> tuple:
+    if name not in STAGES:
+        raise ConfigError(f"unknown stage {name!r}; expected one of {', '.join(STAGES)}")
+    return STAGES[name]
+
+
 @dataclass(frozen=True)
 class StageConfig:
     name: str
@@ -198,26 +274,16 @@ class StageConfig:
     ranges: dict = field(default_factory=dict)   # param -> (lo, hi)
 
     def __post_init__(self):
+        defaults = _stage(self.name)[0]
         if not (0.0 <= self.prob <= 1.0):
             raise ConfigError(f"{self.name}: prob must be in [0, 1]")
+        unknown = sorted(set(self.ranges) - set(defaults))
+        missing = [key for key in defaults if key not in self.ranges]
+        if unknown or missing:
+            raise ConfigError(f"{self.name}: unknown keys {unknown}, missing ranges {missing}")
         for key, (lo, hi) in self.ranges.items():
             if lo > hi:
                 raise ConfigError(f"{self.name}.{key}: empty range {lo}..{hi}")
-
-
-DEFAULT_RANGES = {
-    "freq_shape": {"gain_db": (-30.0, 0.0)},
-    "reverb": {"rt60": (0.1, 1.5), "wet": (0.1, 0.9)},
-    "clip": {"drive": (1.0, 10.0)},
-    "add_noise": {"snr_db": (-5.0, 30.0)},
-    "spectral_corrupt": {
-        "mask_fraction": (0.0, 0.3),
-        "phase_noise_std": (0.0, 0.8),
-    },
-    "time_varying_gain": {"cutoff_hz": (0.5, 8.0), "depth": (0.0, 0.5)},
-}
-
-FREQ_SHAPE_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -229,8 +295,8 @@ class DegradationSpec:
     def default(cls, seed: int = 0, prob: float = 0.5) -> "DegradationSpec":
         return cls(
             tuple(
-                StageConfig(name, prob, dict(DEFAULT_RANGES[name]))
-                for name in STAGE_ORDER
+                StageConfig(name, prob, dict(ranges))
+                for name, (ranges, _, _) in STAGES.items()
             ),
             seed,
         )
@@ -291,84 +357,6 @@ class StageTrace:
         return cls([json.loads(line) for line in text.splitlines() if line.strip()])
 
 
-def _sample(rng, lo, hi):
-    return float(rng.uniform(lo, hi))
-
-
-def _apply_stage(wave: Waveform, name: str, params: dict) -> Waveform:
-    if name == "freq_shape":
-        return freq_shape(wave, params["freqs_hz"], params["gains_db"])
-    if name == "reverb":
-        return reverb(wave, params["rt60"], params["wet"], params["seed"])
-    if name == "clip":
-        return clip(wave, params["curve"], params["drive"])
-    if name == "add_noise":
-        noise = Waveform(
-            pink_noise(len(wave), params["seed"]), wave.sample_rate
-        )
-        return add_noise(wave, noise, params["snr_db"])
-    if name == "spectral_corrupt":
-        return spectral_corrupt(
-            wave,
-            params["mask_fraction"],
-            params["phase_noise_std"],
-            params["seed"],
-            n_fft=params["n_fft"],
-            hop=params["hop"],
-        )
-    if name == "time_varying_gain":
-        return time_varying_gain(
-            wave, params["cutoff_hz"], params["depth"], params["seed"]
-        )
-    raise ConfigError(f"unknown stage {name!r}")
-
-
-def _sample_stage_params(name: str, stage: StageConfig, rng, sub_seed: int, sr: int):
-    r = stage.ranges
-    if name == "freq_shape":
-        lo, hi = r["gain_db"]
-        freqs = np.logspace(
-            np.log10(50.0), np.log10(sr / 2.0), FREQ_SHAPE_POINTS
-        )
-        return {
-            "freqs_hz": [float(f) for f in freqs],
-            "gains_db": [_sample(rng, lo, hi) for _ in range(FREQ_SHAPE_POINTS)],
-        }
-    if name == "reverb":
-        return {
-            "rt60": _sample(rng, *r["rt60"]),
-            "wet": _sample(rng, *r["wet"]),
-            "seed": sub_seed,
-        }
-    if name == "clip":
-        return {
-            "curve": CLIP_CURVES[int(rng.integers(len(CLIP_CURVES)))],
-            "drive": _sample(rng, *r["drive"]),
-        }
-    if name == "add_noise":
-        return {"snr_db": _sample(rng, *r["snr_db"]), "seed": sub_seed}
-    if name == "spectral_corrupt":
-        while True:
-            n_fft = int(rng.choice(CORRUPT_WINDOWS))
-            hop = int(rng.choice(CORRUPT_HOPS))
-            if 2 * hop <= n_fft:
-                break
-        return {
-            "mask_fraction": _sample(rng, *r["mask_fraction"]),
-            "phase_noise_std": _sample(rng, *r["phase_noise_std"]),
-            "n_fft": n_fft,
-            "hop": hop,
-            "seed": sub_seed,
-        }
-    if name == "time_varying_gain":
-        return {
-            "cutoff_hz": _sample(rng, *r["cutoff_hz"]),
-            "depth": _sample(rng, *r["depth"]),
-            "seed": sub_seed,
-        }
-    raise ConfigError(f"unknown stage {name!r}")
-
-
 def apply_chain(wave: Waveform, spec: DegradationSpec):
     """Apply the configured stages in order, each enabled by an independent
     seeded draw. Returns (degraded waveform, trace). Deterministic per
@@ -382,10 +370,9 @@ def apply_chain(wave: Waveform, spec: DegradationSpec):
         enabled = bool(rng.random() < stage.prob)
         if not enabled:
             continue
-        params = _sample_stage_params(
-            stage.name, stage, rng, sub_seed, wave.sample_rate
-        )
-        out = _apply_stage(out, stage.name, params)
+        _, sample, apply = STAGES[stage.name]
+        params = sample(rng, stage.ranges, sub_seed, wave.sample_rate)
+        out = apply(out, params)
         trace.entries.append({"stage": stage.name, "params": params})
     return out, trace
 
@@ -394,5 +381,6 @@ def replay_trace(wave: Waveform, trace: StageTrace) -> Waveform:
     """Reapply the exact recorded parameters; bit-exact against apply_chain."""
     out = wave
     for entry in trace.entries:
-        out = _apply_stage(out, entry["stage"], entry["params"])
+        apply = _stage(entry["stage"])[2]
+        out = apply(out, entry["params"])
     return out

@@ -9,6 +9,10 @@ class IoError(VocalRestoreError):
     pass
 
 
+class MissingInputError(IoError):
+    pass
+
+
 class ChannelError(VocalRestoreError):
     pass
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import nncore
 from .audio_io import Waveform
 from .bandsplit import BandLayout, mel_band_layout, pack_band_features, reassemble
 from .errors import FormatError, ManifestError, SampleRateError, ShapeError
@@ -24,6 +23,7 @@ from .nncore import (
     glu,
     pointwise_conv,
     rmsnorm,
+    rope,
     silu,
 )
 
@@ -46,7 +46,6 @@ class ModelConfig:
     ff_expansion: int = 2
     eps: float = 1e-8
     sequential_paths: bool = False   # sum the two pathways (default) or chain them
-    shared_temporal: bool = True     # temporal-path weights shared across bands
 
     def __post_init__(self):
         F = self.n_fft // 2 + 1
@@ -74,7 +73,6 @@ class ModelConfig:
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
         kwargs = {}
-        casts = {f.name: f.type for f in cls.__dataclass_fields__.values()}
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
@@ -243,20 +241,6 @@ def stem(packed: list[np.ndarray], weights: dict, config: ModelConfig) -> np.nda
     return H
 
 
-def _rmsnorm_bnt(H: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """RMSNorm over the feature axis of (n_band, N, T)."""
-    ms = np.mean(np.square(H), axis=1, keepdims=True)
-    return H / np.sqrt(ms + nncore.RMSNORM_DELTA) * gain[None, :, None]
-
-
-def _pw_bnt(H: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """Pointwise conv over the feature axis of (n_band, C_in, T)."""
-    out = np.einsum("oc,bct->bot", w, H, optimize=True)
-    if b is not None:
-        out += b[None, :, None]
-    return out
-
-
 def _attention_path(H: np.ndarray, weights: dict, config: ModelConfig, prefix: str):
     """Cross-band attention + SwiGLU feedforward, each with its own residual.
 
@@ -267,27 +251,27 @@ def _attention_path(H: np.ndarray, weights: dict, config: ModelConfig, prefix: s
     heads, d = config.heads, N // config.heads
     w = weights
 
-    x = _rmsnorm_bnt(H, w[f"{prefix}.attn.norm.gain"])
+    x = rmsnorm(H, w[f"{prefix}.attn.norm.gain"], axis=1)
 
     def proj(name):
-        y = _pw_bnt(x, w[f"{prefix}.attn.{name}.weight"], w[f"{prefix}.attn.{name}.bias"])
+        y = pointwise_conv(x, w[f"{prefix}.attn.{name}.weight"], w[f"{prefix}.attn.{name}.bias"])
         # (nb, N, T) -> (T, heads, nb, d): sequence axis is the band axis
         return y.reshape(nb, heads, d, T).transpose(3, 1, 0, 2)
 
     q, k, v = proj("q"), proj("k"), proj("v")
     pos = np.arange(nb)
-    q = nncore._rope_apply(q, pos)
-    k = nncore._rope_apply(k, pos)
+    q = rope(q, pos)
+    k = rope(k, pos)
     out = attention_core(q, k, v)                       # (T, heads, nb, d)
     out = out.transpose(2, 1, 3, 0).reshape(nb, N, T)
-    out = _pw_bnt(out, w[f"{prefix}.attn.out.weight"], w[f"{prefix}.attn.out.bias"])
+    out = pointwise_conv(out, w[f"{prefix}.attn.out.weight"], w[f"{prefix}.attn.out.bias"])
     A = H + out
 
-    x = _rmsnorm_bnt(A, w[f"{prefix}.ffn.norm.gain"])
+    x = rmsnorm(A, w[f"{prefix}.ffn.norm.gain"], axis=1)
     hidden = silu(
-        _pw_bnt(x, w[f"{prefix}.ffn.w_gate.weight"], w[f"{prefix}.ffn.w_gate.bias"])
-    ) * _pw_bnt(x, w[f"{prefix}.ffn.w_in.weight"], w[f"{prefix}.ffn.w_in.bias"])
-    A = A + _pw_bnt(hidden, w[f"{prefix}.ffn.w_out.weight"], w[f"{prefix}.ffn.w_out.bias"])
+        pointwise_conv(x, w[f"{prefix}.ffn.w_gate.weight"], w[f"{prefix}.ffn.w_gate.bias"])
+    ) * pointwise_conv(x, w[f"{prefix}.ffn.w_in.weight"], w[f"{prefix}.ffn.w_in.bias"])
+    A = A + pointwise_conv(hidden, w[f"{prefix}.ffn.w_out.weight"], w[f"{prefix}.ffn.w_out.bias"])
     return A - H
 
 
@@ -303,10 +287,10 @@ def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: in
         u = depthwise_conv1d(x, kern, dilation=dil)
         u += np.tile(w[f"{q}.dw.bias"], nb)[:, None]
         u = u.reshape(nb, N, T)
-        u = _rmsnorm_bnt(u, w[f"{q}.norm.gain"])
-        u = _pw_bnt(u, w[f"{q}.pw1.weight"], w[f"{q}.pw1.bias"])
+        u = rmsnorm(u, w[f"{q}.norm.gain"], axis=1)
+        u = pointwise_conv(u, w[f"{q}.pw1.weight"], w[f"{q}.pw1.bias"])
         u = glu(u, axis=1)
-        u = _pw_bnt(u, w[f"{q}.pw2.weight"], w[f"{q}.pw2.bias"])
+        u = pointwise_conv(u, w[f"{q}.pw2.weight"], w[f"{q}.pw2.bias"])
         x = x + (u * w[f"{q}.gamma"][None, :, None]).reshape(nb * N, T)
     return x.reshape(nb, N, T) - H
 

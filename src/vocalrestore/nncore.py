@@ -1,8 +1,8 @@
-"""Deterministic neural kernels used by the generator and discriminator.
+"""Deterministic neural kernels of the generator forward path.
 
-All kernels are pure functions over (channels, time) or (features, sequence)
-numpy arrays; compute dtype follows the input dtype so callers choose
-precision. No autodiff, no dropout, no state.
+All kernels are pure functions over (..., channels, time) or
+(..., sequence, features) numpy arrays; compute dtype follows the input
+dtype so callers choose precision. No autodiff, no dropout, no state.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    # Clip + exp: scipy.special.expit is slower at the generator's frame counts.
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
@@ -38,14 +39,14 @@ def rmsnorm(x: np.ndarray, gain: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
-    """1x1 convolution: per-position affine map (C_in, T) -> (C_out, T)."""
-    if x.shape[0] != weights.shape[1]:
+    """1x1 convolution: per-position affine map (..., C_in, T) -> (..., C_out, T)."""
+    if x.shape[-2] != weights.shape[1]:
         raise ShapeError(
-            f"input channels {x.shape[0]} != weight columns {weights.shape[1]}"
+            f"input channels {x.shape[-2]} != weight columns {weights.shape[1]}"
         )
-    out = weights @ x
+    out = np.einsum("oc,...ct->...ot", weights, x, optimize=True)
     if bias is not None:
-        out = out + np.asarray(bias)[:, None]
+        out += np.asarray(bias)[:, None]
     return out
 
 
@@ -83,37 +84,14 @@ def glu(x: np.ndarray, axis: int = 0) -> np.ndarray:
     return value * sigmoid(gate)
 
 
-def swiglu(x, w_in, w_gate, w_out, b_in=None, b_gate=None, b_out=None):
-    """W_out (SiLU(W_gate x) * (W_in x)), per position."""
-    hidden = silu(pointwise_conv(x, w_gate, b_gate)) * pointwise_conv(x, w_in, b_in)
-    return pointwise_conv(hidden, w_out, b_out)
-
-
-def rope_angles(d_head: int, positions) -> np.ndarray:
-    """Rotation angles, shape (len(positions), d_head//2)."""
-    if d_head % 2:
-        raise ConfigError(f"RoPE needs an even head dim, got {d_head}")
-    j = np.arange(d_head // 2)
-    theta = ROPE_BASE ** (-2.0 * j / d_head)
-    return np.asarray(positions, dtype=np.float64)[:, None] * theta
-
-
-def rope_rotate(x: np.ndarray, index: int) -> np.ndarray:
-    """Rotate consecutive feature pairs of a vector (or (..., d) array) by
-    angles index * theta_j."""
+def rope(x: np.ndarray, positions) -> np.ndarray:
+    """Rotate consecutive feature pairs of x: (..., S, d) by the angles
+    positions[s] * theta_j of each sequence position s."""
     d = x.shape[-1]
-    ang = rope_angles(d, [index])[0]
-    cos, sin = np.cos(ang), np.sin(ang)
-    even, odd = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
-
-
-def _rope_apply(x: np.ndarray, positions) -> np.ndarray:
-    """Vectorized RoPE over the sequence axis. x: (..., S, d)."""
-    ang = rope_angles(x.shape[-1], positions)
+    if d % 2:
+        raise ConfigError(f"RoPE needs an even head dim, got {d}")
+    theta = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
+    ang = np.asarray(positions, dtype=np.float64)[:, None] * theta
     cos, sin = np.cos(ang), np.sin(ang)
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
@@ -136,43 +114,3 @@ def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = np.exp(scores)
     w /= w.sum(axis=-1, keepdims=True)
     return w @ v
-
-
-def multi_head_attention(
-    x: np.ndarray, weights: dict, heads: int, use_rope: bool = True
-) -> np.ndarray:
-    """Self-attention along the sequence axis of x: (N, S) -> (N, S).
-
-    weights holds q/k/v/out projection matrices (N, N) and biases (N,).
-    Queries and keys receive RoPE keyed on sequence position.
-    """
-    N, S = x.shape
-    if N % heads:
-        raise ShapeError(f"feature dim {N} not divisible by {heads} heads")
-    d = N // heads
-
-    def proj(name):
-        y = pointwise_conv(x, weights[f"{name}.weight"], weights.get(f"{name}.bias"))
-        # (N, S) -> (heads, S, d)
-        return y.reshape(heads, d, S).transpose(0, 2, 1)
-
-    q, k, v = proj("q"), proj("k"), proj("v")
-    if use_rope:
-        pos = np.arange(S)
-        q = _rope_apply(q, pos)
-        k = _rope_apply(k, pos)
-    out = attention_core(q, k, v)          # (heads, S, d)
-    out = out.transpose(0, 2, 1).reshape(N, S)
-    return pointwise_conv(out, weights["out.weight"], weights.get("out.bias"))
-
-
-def layer_scale(x: np.ndarray, gamma: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Per-feature multiply by the learned scale gamma."""
-    gamma = np.asarray(gamma)
-    if x.shape[axis] != gamma.shape[0]:
-        raise ShapeError(
-            f"gamma length {gamma.shape[0]} != feature dim {x.shape[axis]}"
-        )
-    shape = [1] * x.ndim
-    shape[axis] = -1
-    return x * gamma.reshape(shape)

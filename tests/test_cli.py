@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ def test_restore_sample_rate_mismatch(model_files, tmp_path):
     assert not os.path.exists(tmp_path / "o.wav")
 
 
+def test_restore_config_weights_mismatch(model_files, tmp_path, capsys):
+    """A config that does not match the weights is a manifest error naming
+    the tensors, not a shape error deep in the forward pass."""
+    wpath, _, cfg = model_files
+    cpath = tmp_path / "six_bands.cfg"
+    cpath.write_text(toy_config(n_band=6).to_text())   # weights have 8 bands
+    inp = str(tmp_path / "in.wav")
+    _write_noise(inp, sr=cfg.sample_rate)
+    code = main(["restore", "--in", inp, "--out", str(tmp_path / "o.wav"),
+                 "--weights", wpath, "--config", str(cpath)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "missing=[]" in err and "extra=[" in err and "head.band6" in err
+
+
 def test_degrade_deterministic(tmp_path):
     inp = str(tmp_path / "in.wav")
     _write_noise(inp, n=9600, sr=48000)
@@ -93,6 +109,17 @@ def test_degrade_with_spec_file(tmp_path):
                  "--spec", str(spec_path),
                  "--trace-out", str(tmp_path / "t.jsonl")]) == EXIT_OK
     assert len(read_wav(out)) == 9600
+
+
+def test_degrade_spec_missing_range(tmp_path, capsys):
+    inp = str(tmp_path / "in.wav")
+    _write_noise(inp, n=9600, sr=48000)
+    spec_path = tmp_path / "chain.cfg"
+    spec_path.write_text("[clip]\nprob = 1.0\n")
+    code = main(["degrade", "--in", inp, "--out", str(tmp_path / "d.wav"),
+                 "--spec", str(spec_path)])
+    assert code == 1
+    assert "clip: unknown keys [], missing ranges ['drive']" in capsys.readouterr().err
 
 
 def test_eval_json_keys(tmp_path, capsys):
@@ -161,6 +188,17 @@ def test_bench_report(model_files, tmp_path):
     }
     assert payload["runs"] == 3
     assert payload["rtf"] == pytest.approx(payload["audio_s"] / payload["median_s"])
+
+
+def test_bench_threads_without_threadpoolctl(model_files, monkeypatch, capsys):
+    """Without threadpoolctl no cap is applied, and the report says so."""
+    wpath, _, cfg = model_files
+    from vocalrestore.generator import load_weights
+
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)   # import fails
+    report = run_bench(load_weights(wpath), cfg, seconds=0.25, runs=1, warmup=0, threads=4)
+    assert report.threads == 0
+    assert "warning: threadpoolctl is not installed" in capsys.readouterr().err
 
 
 def test_run_bench_deterministic_input(model_files):

@@ -251,6 +251,22 @@ def test_spec_text_errors():
         DegradationSpec.from_text("[clip]\ndrive = 5\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[clip]\nprob = 1.0\n", "clip: unknown keys [], missing ranges ['drive']"),
+        ("[bogus]\nprob = 0.0\n", "unknown stage 'bogus'"),
+        ("[clip]\ndrive = 1..5\nextra = 0..1\n", "clip: unknown keys ['extra'], missing ranges []"),
+    ],
+)
+def test_spec_validation(text, message):
+    """Specs are checked against the stage table when parsed, not when a
+    stage happens to run."""
+    with pytest.raises(ConfigError) as info:
+        DegradationSpec.from_text(text)
+    assert message in str(info.value)
+
+
 def test_stage_config_validation():
     with pytest.raises(ConfigError):
         StageConfig("clip", prob=1.5)

@@ -24,6 +24,8 @@ from vocalrestore.generator import (
 from vocalrestore.nncore import RMSNORM_DELTA
 from vocalrestore.spectral import StftParams, stft
 
+from oracles import dense_attention
+
 
 def _wave(n, seed=0, sr=16000, amp=0.1):
     return Waveform(amp * np.random.default_rng(seed).standard_normal(n), sr)
@@ -193,21 +195,85 @@ def test_zeroed_projections_make_block_identity():
         assert np.array_equal(out, H)
 
 
-@pytest.mark.parametrize("sequential", [False, True])
-def test_block_pathway_combination(sequential):
+@pytest.mark.parametrize("zero_temporal", [False, True])
+def test_block_pathway_combination(zero_temporal):
     """With the temporal pathway zeroed, sequential and parallel summation
     agree; with both live they differ."""
-    cfg = toy_config(n_band=4, N=8, L=1, heads=2, sequential_paths=sequential)
-    w = init_weights(cfg, 2)
-    # amplify the residual projections so the pathways actually do something
+    w = init_weights(toy_config(n_band=4, N=8, L=1, heads=2), 2)
+    # gammas of 0.5 make the temporal pathway matter; 0 switches it off
     for k in list(w):
         if k.endswith(".gamma"):
-            w[k] = np.full_like(w[k], 0.5)
+            w[k] = np.full_like(w[k], 0.0 if zero_temporal else 0.5)
     H = np.asarray(
         np.random.default_rng(6).standard_normal((4, 8, 12)), dtype=np.float32
     )
-    out = band_sequence_block(H, w, cfg, 0)
-    assert out.shape == H.shape and np.all(np.isfinite(out))
+    par, seq = (
+        band_sequence_block(
+            H, w, toy_config(n_band=4, N=8, L=1, heads=2, sequential_paths=sequential), 0
+        )
+        for sequential in (False, True)
+    )
+    assert par.shape == H.shape and np.all(np.isfinite(par))
+    if zero_temporal:
+        assert np.array_equal(par, seq)
+    else:
+        assert np.max(np.abs(par - seq)) > 1e-9
+
+
+def _sublayer_weights(cfg, seed, zeroed):
+    """float64 block weights with random norm gains and biases, every
+    temporal gamma at zero and the residual projection `zeroed` (a prefix
+    such as "attn.out") at zero, so that band_sequence_block adds exactly one
+    sublayer's output to its input."""
+    rng = np.random.default_rng(seed)
+    w = {}
+    for name, arr in init_weights(cfg, seed).items():
+        if name.endswith("norm.gain"):
+            arr = rng.uniform(0.5, 1.5, arr.shape)
+        elif name.endswith(".bias"):
+            arr = 0.1 * rng.standard_normal(arr.shape)
+        if name.endswith(".gamma") or f".{zeroed}." in name:
+            arr = np.zeros(arr.shape)
+        w[name] = np.asarray(arr, dtype=np.float64)
+    return w
+
+
+def _rmsnorm_column(h, gain):
+    return h / np.sqrt(np.mean(h**2) + RMSNORM_DELTA) * gain
+
+
+def test_attention_sublayer_oracle():
+    """Cross-band attention against explicit per-frame dense attention over
+    the bands, with RoPE keyed on band index (FFN output zeroed, float64)."""
+    cfg = toy_config(n_band=6, N=8, L=1, heads=2)
+    w = _sublayer_weights(cfg, 20, "ffn.w_out")
+    H = np.random.default_rng(21).standard_normal((6, 8, 5))
+    delta = band_sequence_block(H, w, cfg, 0) - H
+    gain = w["block0.attn.norm.gain"]
+    mats = [w[f"block0.attn.{n}.weight"] for n in ("q", "k", "v", "out")]
+    biases = [w[f"block0.attn.{n}.bias"] for n in ("q", "k", "v", "out")]
+    for t in range(H.shape[2]):
+        x = np.column_stack([_rmsnorm_column(H[b, :, t], gain) for b in range(6)])
+        ref = dense_attention(x, *mats, *biases, cfg.heads)     # (N, bands)
+        assert np.max(np.abs(delta[:, :, t].T - ref)) < 1e-12
+
+
+def test_ffn_sublayer_oracle():
+    """SwiGLU feedforward against a per-(band, frame) loop: W_out (SiLU(W_gate
+    x) * (W_in x)) on the RMS-normalized input (attention output zeroed,
+    float64)."""
+    cfg = toy_config(n_band=3, N=4, L=1, heads=2)
+    w = _sublayer_weights(cfg, 10, "attn.out")
+    H = np.random.default_rng(11).standard_normal((3, 4, 6))
+    delta = band_sequence_block(H, w, cfg, 0) - H
+    p = "block0.ffn"
+    for b in range(3):
+        for t in range(6):
+            x = _rmsnorm_column(H[b, :, t], w[f"{p}.norm.gain"])
+            g = w[f"{p}.w_gate.weight"] @ x + w[f"{p}.w_gate.bias"]
+            hidden = g / (1.0 + np.exp(-g)) * (w[f"{p}.w_in.weight"] @ x + w[f"{p}.w_in.bias"])
+            ref = w[f"{p}.w_out.weight"] @ hidden + w[f"{p}.w_out.bias"]
+            assert np.max(np.abs(delta[b, :, t] - ref)) < 1e-12
 
 
 def test_sequential_vs_parallel_differ():

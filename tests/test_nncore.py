@@ -8,17 +8,14 @@ from vocalrestore.nncore import (
     attention_core,
     depthwise_conv1d,
     glu,
-    layer_scale,
-    multi_head_attention,
     pointwise_conv,
     rmsnorm,
-    rope_rotate,
+    rope,
     sigmoid,
     silu,
-    swiglu,
 )
 
-from oracles import dense_attention, depthwise_conv_loops, matmul_per_position, rotate_pairs
+from oracles import depthwise_conv_loops, matmul_per_position, rotate_pairs
 
 
 def _rng(seed=0):
@@ -42,6 +39,14 @@ def test_rmsnorm_definition():
         col = x[:, t]
         ref = col / np.sqrt(np.mean(col**2) + RMSNORM_DELTA) * gain
         assert np.max(np.abs(out[:, t] - ref)) < 1e-14
+    # (bands, features, T), normalized over the feature axis
+    x3 = _rng(4).standard_normal((3, 6, 11))
+    out3 = rmsnorm(x3, gain, axis=1)
+    for b in range(3):
+        for t in range(11):
+            col = x3[b, :, t]
+            ref = col / np.sqrt(np.mean(col**2) + RMSNORM_DELTA) * gain
+            assert np.max(np.abs(out3[b, :, t] - ref)) < 1e-14
 
 
 def test_rmsnorm_unit_rms():
@@ -63,6 +68,14 @@ def test_pointwise_conv_oracle():
     assert np.max(np.abs(pointwise_conv(x, w, b) - matmul_per_position(x, w, b))) < 1e-12
     with pytest.raises(ShapeError):
         pointwise_conv(x, np.zeros((7, 6)))
+    # (bands, C_in, T): the same map applied to every band
+    x3 = _rng(7).standard_normal((3, 5, 9))
+    out3 = pointwise_conv(x3, w, b)
+    assert out3.shape == (3, 7, 9)
+    for i in range(3):
+        assert np.max(np.abs(out3[i] - matmul_per_position(x3[i], w, b))) < 1e-12
+    with pytest.raises(ShapeError):
+        pointwise_conv(x3, np.zeros((7, 6)))
 
 
 @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
@@ -95,42 +108,34 @@ def test_glu():
         glu(np.zeros((5, 2)))
 
 
-def test_swiglu_oracle():
-    rng = _rng(10)
-    x = rng.standard_normal((4, 6))
-    w_in, w_gate = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
-    w_out = rng.standard_normal((4, 9))
-    out = swiglu(x, w_in, w_gate, w_out)
-    ref = np.zeros((4, 6))
-    for t in range(6):
-        g = w_gate @ x[:, t]
-        hidden = (g / (1.0 + np.exp(-g))) * (w_in @ x[:, t])
-        ref[:, t] = w_out @ hidden
-    assert np.max(np.abs(out - ref)) < 1e-12
-
-
 def test_rope_identity_at_origin():
-    x = _rng(11).standard_normal(8)
-    assert np.allclose(rope_rotate(x, 0), x)
+    x = _rng(11).standard_normal((1, 8))
+    assert np.allclose(rope(x, [0]), x)
 
 
 def test_rope_matches_reference():
-    x = _rng(12).standard_normal(16)
-    for pos in [1, 5, 100]:
-        assert np.max(np.abs(rope_rotate(x, pos) - rotate_pairs(x, pos))) < 1e-12
+    """Each sequence position is rotated by its own angle."""
+    positions = [1, 5, 100]
+    x = _rng(12).standard_normal((2, 3, 16))
+    out = rope(x, positions)
+    for h in range(2):
+        for s, pos in enumerate(positions):
+            assert np.max(np.abs(out[h, s] - rotate_pairs(x[h, s], pos))) < 1e-12
 
 
 def test_rope_preserves_norm():
     x = _rng(13).standard_normal((3, 10))
-    out = rope_rotate(x, 17)
+    out = rope(x, [17, 4, 250])
     assert np.allclose(np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1))
+    with pytest.raises(ConfigError):
+        rope(np.zeros((3, 5)), [0, 1, 2])
 
 
 def test_rope_relative_position():
     """q(p1) . k(p2) depends only on p1 - p2."""
     rng = _rng(14)
-    q, k = rng.standard_normal(8), rng.standard_normal(8)
-    dots = [float(rope_rotate(q, p + 3) @ rope_rotate(k, p)) for p in (0, 11, 50)]
+    q, k = rng.standard_normal((1, 8)), rng.standard_normal((1, 8))
+    dots = [float(rope(q, [p + 3])[0] @ rope(k, [p])[0]) for p in (0, 11, 50)]
     assert max(dots) - min(dots) < 1e-10
 
 
@@ -156,41 +161,19 @@ def test_attention_core_one_hot():
     assert np.max(np.abs(out[0] - v[1])) < 1e-10
 
 
-@pytest.mark.parametrize("use_rope", [False, True])
-def test_multi_head_attention_oracle(use_rope):
-    rng = _rng(16)
-    N, S, heads = 8, 6, 2
-    x = rng.standard_normal((N, S))
-    weights = {}
-    mats = {}
-    for name in ("q", "k", "v", "out"):
-        mats[name] = (rng.standard_normal((N, N)) * 0.3, rng.standard_normal(N) * 0.1)
-        weights[f"{name}.weight"], weights[f"{name}.bias"] = mats[name]
-    out = multi_head_attention(x, weights, heads, use_rope=use_rope)
-    ref = dense_attention(
-        x,
-        mats["q"][0], mats["k"][0], mats["v"][0], mats["out"][0],
-        mats["q"][1], mats["k"][1], mats["v"][1], mats["out"][1],
-        heads,
-        use_rope=use_rope,
-    )
-    assert np.max(np.abs(out - ref)) < 1e-12
-
-
 def test_attention_permutation_equivariance_without_rope():
+    """attention_core commutes with a permutation of the sequence axis; RoPE,
+    keyed on sequence position, breaks that symmetry."""
     rng = _rng(17)
-    N, S = 8, 7
-    x = rng.standard_normal((N, S))
-    weights = {
-        f"{n}.weight": rng.standard_normal((N, N)) * 0.2 for n in ("q", "k", "v", "out")
-    }
+    S = 7
+    q, k, v = (rng.standard_normal((2, S, 4)) for _ in range(3))
     perm = rng.permutation(S)
-    a = multi_head_attention(x, weights, 2, use_rope=False)[:, perm]
-    b = multi_head_attention(x[:, perm], weights, 2, use_rope=False)
+    a = attention_core(q, k, v)[:, perm]
+    b = attention_core(q[:, perm], k[:, perm], v[:, perm])
     assert np.max(np.abs(a - b)) < 1e-12
-    # with RoPE the same permutation changes the output
-    c = multi_head_attention(x, weights, 2, use_rope=True)[:, perm]
-    d = multi_head_attention(x[:, perm], weights, 2, use_rope=True)
+    pos = np.arange(S)
+    c = attention_core(rope(q, pos), rope(k, pos), v)[:, perm]
+    d = attention_core(rope(q[:, perm], pos), rope(k[:, perm], pos), v[:, perm])
     assert np.max(np.abs(c - d)) > 1e-6
 
 
@@ -206,11 +189,3 @@ def test_attention_rows_convex(seed):
     out = attention_core(q, k, v)
     assert np.all(out <= v.max(axis=0) + 1e-12)
     assert np.all(out >= v.min(axis=0) - 1e-12)
-
-
-def test_layer_scale():
-    x = _rng(18).standard_normal((4, 6))
-    gamma = np.array([1.0, 0.0, -2.0, 0.5])
-    assert np.allclose(layer_scale(x, gamma), x * gamma[:, None])
-    with pytest.raises(ShapeError):
-        layer_scale(x, np.ones(3))

@@ -1,0 +1,58 @@
+"""The benchmark's tracer (perfbench/tracing.py) binds module-level names of
+the package; a refactor that renames one, or that calls a stage function
+through a captured object, would silently break ``run.py --trace 1``."""
+
+import importlib.util
+import pathlib
+import sys
+
+import numpy as np
+
+import vocalrestore
+# Every module tracing.LAYERS names must be an attribute of the package.
+from vocalrestore import cli, degrade, discriminator, generator, losses, ranking  # noqa: F401
+from vocalrestore.audio_io import Waveform
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_uninstall(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    bindings = [b for layer in tracing.LAYERS.values() for b in layer]
+
+    def bound():
+        return [vars(tracing._resolve(vocalrestore, path))[attr] for path, attr in bindings]
+
+    before = bound()
+    tracer = tracing.Tracer()
+    tracer.install(vocalrestore)
+    try:
+        tracer.op = 0
+        cfg = generator.toy_config()
+        x = Waveform(0.1 * np.random.default_rng(0).standard_normal(4000), cfg.sample_rate)
+        generator.restore(x, generator.init_weights(cfg, 0), cfg)
+        _, trace = degrade.apply_chain(x, degrade.DegradationSpec.default(seed=0, prob=1.0))
+        degrade.replay_trace(x, trace)
+    finally:
+        tracer.uninstall()
+    assert all(a is b for a, b in zip(bound(), before))
+
+    calls = {name: agg["calls"] for name, agg in tracer.layer_totals()[0].items()}
+    assert calls["generator.block"] == cfg.L
+    for kernel in ("attention_core", "depthwise_conv1d", "glu", "silu"):
+        assert calls.get(f"nncore.{kernel}", 0) > 0, kernel
+    # stem and heads per band; per block 4 attention + 3 FFN projections and
+    # 2 per temporal ConvNeXt block, all through the names tracing binds
+    per_layer = generator.CONVNEXT_BLOCKS_PER_LAYER
+    assert calls["nncore.pointwise_conv"] == 3 * cfg.n_band + cfg.L * (7 + 2 * per_layer)
+    assert calls["nncore.rmsnorm"] == 2 * cfg.n_band + cfg.L * (2 + per_layer)
+    for stage in degrade.STAGE_ORDER:     # once in the chain, once in the replay
+        assert calls.get(f"degrade.{stage}", 0) == 2, stage
