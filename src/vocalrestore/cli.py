@@ -28,8 +28,10 @@ from .errors import (
     SampleRateError,
     VocalRestoreError,
 )
-from .generator import ModelConfig, check_weights, load_weights, restore, restore_chunked
+from .generator import ModelConfig, check_weights, load_weights, receptive_field, restore, tile_plan
 from .spectral import StftParams, stft
+
+restore_chunked = restore   # perfbench/tracing.py binds and times this name
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -157,7 +159,8 @@ def cmd_restore(args) -> int:
     elapsed = time.perf_counter() - t0
     _atomic_write(args.outfile, lambda tmp: write_wav(out, tmp))
     rtf = wave.duration / elapsed if elapsed > 0 else float("inf")
-    print(f"restored {wave.duration:.2f}s in {elapsed:.3f}s (RTF {rtf:.2f})")
+    print(f"restored {wave.duration:.2f}s in {elapsed:.3f}s (RTF {rtf:.2f}); "
+          f"tiles={len(tile_plan(len(wave), config))} halo_frames={receptive_field(config)}")
     return EXIT_OK
 
 

@@ -25,6 +25,15 @@ CLIP_CURVES = ("hard", "tanh", "cubic")
 FREQ_SHAPE_POINTS = 5
 
 
+def _check_bounds(stage: str, **values) -> None:
+    for key, value in values.items():
+        lo, hi, open_lo = STAGES[stage][1].get(key, (-np.inf, np.inf, False))
+        for v in np.ravel(value):
+            if not ((v > lo if open_lo else v >= lo) and v <= hi):
+                raise ConfigError(f"{stage}: {key} must be in "
+                                  f"{'(' if open_lo else '['}{lo:g}, {hi:g}], got {v}")
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
@@ -41,8 +50,7 @@ def freq_shape(wave: Waveform, freqs_hz, gains_db) -> Waveform:
     points on a log-frequency axis."""
     freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
     gains_db = np.asarray(gains_db, dtype=np.float64)
-    if np.any(gains_db < -60.0) or np.any(gains_db > 12.0):
-        raise ConfigError("gains must lie in [-60, +12] dB")
+    _check_bounds("freq_shape", gain_db=gains_db)
     params = _shape_params(wave.sample_rate)
     spec = stft(wave, params)
     F = spec.bins.shape[0]
@@ -59,10 +67,7 @@ def freq_shape(wave: Waveform, freqs_hz, gains_db) -> Waveform:
 def reverb(wave: Waveform, rt60: float, wet: float, seed: int) -> Waveform:
     """Convolve with a synthetic impulse response: unit direct tap plus
     seeded white noise under an exponential decay reaching -60 dB at rt60."""
-    if not (0.1 <= rt60 <= 3.0):
-        raise ConfigError(f"rt60 must be in [0.1, 3.0], got {rt60}")
-    if not (0.0 <= wet <= 1.0):
-        raise ConfigError(f"wet must be in [0, 1], got {wet}")
+    _check_bounds("reverb", rt60=rt60, wet=wet)
     if wet == 0.0:
         return Waveform(wave.samples.copy(), wave.sample_rate)
     sr = wave.sample_rate
@@ -79,8 +84,7 @@ def reverb(wave: Waveform, rt60: float, wet: float, seed: int) -> Waveform:
 def clip(wave: Waveform, curve: str, drive: float) -> Waveform:
     """Drive the signal into one of three odd saturation curves; output is
     bounded in [-1, 1]."""
-    if drive < 1.0:
-        raise ConfigError(f"drive must be >= 1, got {drive}")
+    _check_bounds("clip", drive=drive)
     x = wave.samples * drive
     if curve == "hard":
         y = np.clip(x, -1.0, 1.0)
@@ -145,8 +149,7 @@ def spectral_corrupt(
     resynthesized at a randomly sampled STFT grid (window in {512,1024,2048},
     hop in {256,512,1024}, restricted to hop <= window/2 so resynthesis stays
     invertible under the Hann window)."""
-    if not (0.0 <= mask_fraction <= 1.0):
-        raise ConfigError(f"mask_fraction must be in [0, 1], got {mask_fraction}")
+    _check_bounds("spectral_corrupt", mask_fraction=mask_fraction, phase_noise_std=phase_noise_std)
     rng = _rng(seed)
     if n_fft is None or hop is None:
         n_fft, hop = _corrupt_grid(rng)
@@ -167,10 +170,7 @@ def time_varying_gain(
     """Multiply by a smooth random gain envelope g(t) in [1-depth, 1+depth],
     built by brick-wall lowpassing seeded white noise and renormalizing its
     peak."""
-    if not (0.0 < cutoff_hz <= 20.0):
-        raise ConfigError(f"cutoff_hz must be in (0, 20], got {cutoff_hz}")
-    if not (0.0 <= depth <= 1.0):
-        raise ConfigError(f"depth must be in [0, 1], got {depth}")
+    _check_bounds("time_varying_gain", cutoff_hz=cutoff_hz, depth=depth)
     n = len(wave)
     noise = _rng(seed).standard_normal(n)
     spec = np.fft.rfft(noise)
@@ -208,7 +208,9 @@ def _sample_spectral_corrupt(rng, r: dict, seed: int, sr: int) -> dict:
     }
 
 
-# name -> (default ranges, sample, apply), in chain order.
+# name -> (default ranges, bounds, sample, apply), in chain order.
+# bounds: key -> (low, high, low end excluded), the values the stage function
+# accepts, which StageConfig also checks each range end against.
 # sample(rng, ranges, sub_seed, sample_rate) returns the trace parameters,
 # drawn in a fixed order; apply(wave, params) runs the stage. Each apply looks
 # its stage function up by module-global name when it runs, so wrappers
@@ -216,11 +218,13 @@ def _sample_spectral_corrupt(rng, r: dict, seed: int, sr: int) -> dict:
 STAGES = {
     "freq_shape": (
         {"gain_db": (-30.0, 0.0)},
+        {"gain_db": (-60.0, 12.0, False)},
         _sample_freq_shape,
         lambda wave, p: freq_shape(wave, **p),
     ),
     "reverb": (
         {"rt60": (0.1, 1.5), "wet": (0.1, 0.9)},
+        {"rt60": (0.1, 3.0, False), "wet": (0.0, 1.0, False)},
         lambda rng, r, seed, sr: {
             "rt60": float(rng.uniform(*r["rt60"])),
             "wet": float(rng.uniform(*r["wet"])),
@@ -230,6 +234,7 @@ STAGES = {
     ),
     "clip": (
         {"drive": (1.0, 10.0)},
+        {"drive": (1.0, np.inf, False)},
         lambda rng, r, seed, sr: {
             "curve": CLIP_CURVES[int(rng.integers(len(CLIP_CURVES)))],
             "drive": float(rng.uniform(*r["drive"])),
@@ -238,6 +243,7 @@ STAGES = {
     ),
     "add_noise": (
         {"snr_db": (-5.0, 30.0)},
+        {},
         lambda rng, r, seed, sr: {"snr_db": float(rng.uniform(*r["snr_db"])), "seed": seed},
         lambda wave, p: add_noise(
             wave, Waveform(pink_noise(len(wave), p["seed"]), wave.sample_rate), p["snr_db"]
@@ -245,11 +251,13 @@ STAGES = {
     ),
     "spectral_corrupt": (
         {"mask_fraction": (0.0, 0.3), "phase_noise_std": (0.0, 0.8)},
+        {"mask_fraction": (0.0, 1.0, False), "phase_noise_std": (0.0, np.inf, False)},
         _sample_spectral_corrupt,
         lambda wave, p: spectral_corrupt(wave, **p),
     ),
     "time_varying_gain": (
         {"cutoff_hz": (0.5, 8.0), "depth": (0.0, 0.5)},
+        {"cutoff_hz": (0.0, 20.0, True), "depth": (0.0, 1.0, False)},
         lambda rng, r, seed, sr: {
             "cutoff_hz": float(rng.uniform(*r["cutoff_hz"])),
             "depth": float(rng.uniform(*r["depth"])),
@@ -284,6 +292,7 @@ class StageConfig:
         for key, (lo, hi) in self.ranges.items():
             if lo > hi:
                 raise ConfigError(f"{self.name}.{key}: empty range {lo}..{hi}")
+        _check_bounds(self.name, **self.ranges)
 
 
 @dataclass(frozen=True)
@@ -296,7 +305,7 @@ class DegradationSpec:
         return cls(
             tuple(
                 StageConfig(name, prob, dict(ranges))
-                for name, (ranges, _, _) in STAGES.items()
+                for name, (ranges, *_) in STAGES.items()
             ),
             seed,
         )
@@ -370,7 +379,7 @@ def apply_chain(wave: Waveform, spec: DegradationSpec):
         enabled = bool(rng.random() < stage.prob)
         if not enabled:
             continue
-        _, sample, apply = STAGES[stage.name]
+        _, _, sample, apply = STAGES[stage.name]
         params = sample(rng, stage.ranges, sub_seed, wave.sample_rate)
         out = apply(out, params)
         trace.entries.append({"stage": stage.name, "params": params})
@@ -381,6 +390,6 @@ def replay_trace(wave: Waveform, trace: StageTrace) -> Waveform:
     """Reapply the exact recorded parameters; bit-exact against apply_chain."""
     out = wave
     for entry in trace.entries:
-        apply = _stage(entry["stage"])[2]
+        apply = _stage(entry["stage"])[3]
         out = apply(out, entry["params"])
     return out

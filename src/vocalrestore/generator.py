@@ -30,6 +30,9 @@ from .nncore import (
 WEIGHT_MAGIC = b"SRSW0001"
 LAYER_SCALE_INIT = 1e-6
 CONVNEXT_BLOCKS_PER_LAYER = 3  # dilations {1, d, 1}
+# Core frames per restore() tile: with both R = 50 halos a tile spans 700
+# frames, within one 30 s pass (704), so memory is bounded for any length.
+TILE_FRAMES = 600
 
 
 @dataclass(frozen=True)
@@ -345,51 +348,38 @@ def generator_forward(
     return ComplexSpectrogram(grid[..., 0] + 1j * grid[..., 1], X.params)
 
 
+def receptive_field(config: ModelConfig) -> int:
+    """Frames R on each side that an output frame of generator_forward reads:
+    the dilated depthwise convs are the only layers that mix frames."""
+    return sum(d * (config.conv_kernel - 1) // 2
+               for layer in range(config.L) for d in config.dilations(layer))
+
+
+def tile_plan(n_samples: int, config: ModelConfig) -> list[tuple[int, int, int, int]]:
+    """restore()'s frame tiles for n_samples: (lo, start, stop, hi) per tile,
+    whose core frames [start, stop) are computed from input frames [lo, hi),
+    the core plus an R-frame halo on each side clipped at the signal ends."""
+    n = StftParams(n_fft=config.n_fft, hop=config.hop).frames(n_samples)
+    R = receptive_field(config)
+    return [
+        (max(s - R, 0), s, min(s + TILE_FRAMES, n), min(s + TILE_FRAMES + R, n))
+        for s in range(0, n, TILE_FRAMES)
+    ]
+
+
 def restore(wave: Waveform, weights: dict, config: ModelConfig) -> Waveform:
-    """Waveform-to-waveform restoration: stft -> generator -> istft."""
+    """Waveform-to-waveform restoration: one stft, generator_forward on each
+    tile of tile_plan, one istft of the tile cores. Each core sees every frame
+    it depends on, so the output equals one forward pass for any length."""
     if wave.sample_rate != config.sample_rate:
         raise SampleRateError(
             f"waveform is {wave.sample_rate} Hz, model expects {config.sample_rate}"
         )
     params = StftParams(n_fft=config.n_fft, hop=config.hop)
     X = stft(wave, params)
-    Xhat = generator_forward(X, weights, config)
+    cores = []
+    for lo, start, stop, hi in tile_plan(len(wave), config):
+        Y = generator_forward(ComplexSpectrogram(X.bins[:, lo:hi], params), weights, config)
+        cores.append(Y.bins[:, start - lo:stop - lo])
+    Xhat = ComplexSpectrogram(np.concatenate(cores, axis=1), params)
     return istft(Xhat, len(wave), sample_rate=wave.sample_rate)
-
-
-def restore_chunked(
-    wave: Waveform,
-    weights: dict,
-    config: ModelConfig,
-    chunk_s: float = 30.0,
-    overlap_s: float = 1.0,
-) -> Waveform:
-    """Process long inputs in fixed chunks with a linear crossfade in the
-    overlap region; short inputs go through restore() directly."""
-    sr = wave.sample_rate
-    chunk = int(chunk_s * sr)
-    overlap = int(overlap_s * sr)
-    if len(wave) <= chunk:
-        return restore(wave, weights, config)
-
-    hopsz = chunk - overlap
-    out = np.zeros(len(wave))
-    norm = np.zeros(len(wave))
-    start = 0
-    while start < len(wave):
-        end = min(start + chunk, len(wave))
-        piece = restore(Waveform(wave.samples[start:end], sr), weights, config)
-        fade = np.ones(end - start)
-        if start > 0:
-            ramp = min(overlap, end - start)
-            fade[:ramp] = np.linspace(0.0, 1.0, ramp, endpoint=False)
-        if end < len(wave):
-            ramp = min(overlap, end - start)
-            fade[-ramp:] = np.linspace(1.0, 0.0, ramp)
-        out[start:end] += piece.samples * fade
-        norm[start:end] += fade
-        if end == len(wave):
-            break
-        start += hopsz
-    norm[norm == 0] = 1.0
-    return Waveform(out / norm, sr)

@@ -35,7 +35,6 @@ class StftParams:
     n_fft: int = 4096
     hop: int = 2048
     window: str = "hann"
-    center: bool = True
 
     def __post_init__(self):
         if self.n_fft <= 0 or self.n_fft % 2:
@@ -50,6 +49,10 @@ class StftParams:
 
     def window_array(self) -> np.ndarray:
         return _window(self.window, self.n_fft)
+
+    def frames(self, n_samples: int) -> int:
+        """Number of frames stft() gives for n_samples >= 1 samples."""
+        return 1 + n_samples // self.hop
 
 
 @dataclass(frozen=True)
@@ -89,15 +92,9 @@ def stft(wave: Waveform, params: StftParams | None = None) -> ComplexSpectrogram
         raise EmptyInputError("cannot transform an empty waveform")
 
     n_fft, hop = params.n_fft, params.hop
-    if params.center:
-        pad = n_fft // 2
-        if len(x) > 1:
-            x = np.pad(x, pad, mode="reflect")
-        else:
-            x = np.pad(x, pad, mode="constant")
-    if len(x) < n_fft:
-        x = np.pad(x, (0, n_fft - len(x)), mode="constant")
-    n_frames = 1 + (len(x) - n_fft) // hop
+    # center the frames; reflect padding needs at least two samples
+    x = np.pad(x, n_fft // 2, mode="reflect" if len(x) > 1 else "constant")
+    n_frames = params.frames(len(wave.samples))
 
     frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop][:n_frames]
     spec = np.fft.rfft(frames * params.window_array(), axis=1).T
@@ -121,7 +118,7 @@ def istft(spec: ComplexSpectrogram, length: int, sample_rate: int = 1) -> Wavefo
     params = spec.params
     n_fft, hop = params.n_fft, params.hop
     n_frames = spec.n_frames
-    offset = n_fft // 2 if params.center else 0
+    offset = n_fft // 2
     total = (n_frames - 1) * hop + n_fft
     if length < 0 or offset + length > total:
         raise ShapeError(

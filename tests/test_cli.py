@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from vocalrestore import generator
 from vocalrestore.audio_io import Waveform, read_wav, write_wav
 from vocalrestore.cli import (
     EXIT_DISCONNECTED,
@@ -36,16 +37,20 @@ def _write_noise(path, n=4000, sr=16000, seed=0):
     return x
 
 
-def test_restore_round_trip(model_files, tmp_path, capsys):
+def test_restore_round_trip(model_files, tmp_path, capsys, monkeypatch):
     wpath, cpath, cfg = model_files
     inp, out = str(tmp_path / "in.wav"), str(tmp_path / "out.wav")
     _write_noise(inp, sr=cfg.sample_rate)
+    # 32 frames in tiles of 16: the report gives the plan restore() ran
+    monkeypatch.setattr(generator, "TILE_FRAMES", 16)
     code = main(["restore", "--in", inp, "--out", out,
                  "--weights", wpath, "--config", cpath])
     assert code == EXIT_OK
     restored = read_wav(out)
     assert len(restored) == 4000
-    assert "RTF" in capsys.readouterr().out
+    report = capsys.readouterr().out
+    assert "RTF" in report
+    assert "tiles=2 halo_frames=10" in report
 
 
 def test_restore_missing_input(model_files, tmp_path):

@@ -257,6 +257,20 @@ def test_spec_text_errors():
         ("[clip]\nprob = 1.0\n", "clip: unknown keys [], missing ranges ['drive']"),
         ("[bogus]\nprob = 0.0\n", "unknown stage 'bogus'"),
         ("[clip]\ndrive = 1..5\nextra = 0..1\n", "clip: unknown keys ['extra'], missing ranges []"),
+        # range ends outside the stage's bounds, which would fail only on the
+        # seeds that draw beyond them
+        ("[reverb]\nrt60 = 0.1..5.0\nwet = 0..1\n", "reverb: rt60 must be in [0.1, 3], got 5.0"),
+        ("[reverb]\nrt60 = 0.1..1\nwet = -0.5..1\n", "reverb: wet must be in [0, 1], got -0.5"),
+        ("[clip]\ndrive = 0.5..3\n", "clip: drive must be in [1, inf], got 0.5"),
+        ("[freq_shape]\ngain_db = -30..20\n", "freq_shape: gain_db must be in [-60, 12], got 20.0"),
+        ("[spectral_corrupt]\nmask_fraction = 0..1.5\nphase_noise_std = 0..1\n",
+         "spectral_corrupt: mask_fraction must be in [0, 1], got 1.5"),
+        ("[spectral_corrupt]\nmask_fraction = 0..1\nphase_noise_std = -1..1\n",
+         "spectral_corrupt: phase_noise_std must be in [0, inf], got -1.0"),
+        ("[time_varying_gain]\ncutoff_hz = 0..8\ndepth = 0..0.5\n",
+         "time_varying_gain: cutoff_hz must be in (0, 20], got 0.0"),
+        ("[time_varying_gain]\ncutoff_hz = 1..8\ndepth = 0..2\n",
+         "time_varying_gain: depth must be in [0, 1], got 2.0"),
     ],
 )
 def test_spec_validation(text, message):

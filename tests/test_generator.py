@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vocalrestore import generator
 from vocalrestore.audio_io import Waveform
 from vocalrestore.bandsplit import pack_band_features
 from vocalrestore.errors import FormatError, ManifestError, SampleRateError, ShapeError
@@ -15,14 +16,15 @@ from vocalrestore.generator import (
     init_weights,
     load_weights,
     parameter_manifest,
+    receptive_field,
     restore,
-    restore_chunked,
     save_weights,
     stem,
+    tile_plan,
     toy_config,
 )
 from vocalrestore.nncore import RMSNORM_DELTA
-from vocalrestore.spectral import StftParams, stft
+from vocalrestore.spectral import ComplexSpectrogram, StftParams, istft, stft
 
 from oracles import dense_attention
 
@@ -291,14 +293,23 @@ def test_sequential_vs_parallel_differ():
     assert np.max(np.abs(par - seq)) > 1e-9
 
 
-def test_temporal_receptive_field():
-    """A single-frame perturbation can only propagate 1 + d + 1 frames per
-    layer through the dilated depthwise stack; attention is frame-local."""
-    cfg = toy_config(n_band=2, N=8, L=1, heads=2)
-    w = init_weights(cfg, 4)
+def _gamma_weights(cfg, seed, gamma):
+    """init_weights with every layer-scale gamma set to `gamma`, so the
+    temporal pathway shows in the output."""
+    w = init_weights(cfg, seed)
     for k in list(w):
         if k.endswith(".gamma"):
-            w[k] = np.full_like(w[k], 1.0)
+            w[k] = np.full_like(w[k], gamma)
+    return w
+
+
+def test_temporal_receptive_field():
+    """A single-frame perturbation can only propagate 1 + d + 1 frames per
+    layer through the dilated depthwise stack; attention is frame-local.
+    Through the whole multi-layer forward pass, a change to input frame t0
+    reaches output frames t0 - R and t0 + R and none beyond them."""
+    cfg = toy_config(n_band=2, N=8, L=1, heads=2)
+    w = _gamma_weights(cfg, 4, 1.0)
     rng = np.random.default_rng(7)
     T, t0 = 31, 15
     H = np.asarray(rng.standard_normal((2, 8, T)), dtype=np.float32)
@@ -307,11 +318,26 @@ def test_temporal_receptive_field():
     a = band_sequence_block(H, w, cfg, 0)
     b = band_sequence_block(H2, w, cfg, 0)
     diff = np.abs(a - b).max(axis=(0, 1))
-    radius = sum((cfg.conv_kernel - 1) // 2 * d for d in cfg.dilations(0))
-    inside = slice(t0 - radius, t0 + radius + 1)
+    radius = receptive_field(cfg)
+    assert radius == 4
     assert diff[t0] > 0
     outside = np.concatenate([diff[: t0 - radius], diff[t0 + radius + 1 :]])
     assert np.all(outside == 0.0)
+
+    cfg = toy_config()
+    R = receptive_field(cfg)
+    assert R == 10 and receptive_field(ModelConfig()) == 50
+    w = _gamma_weights(cfg, 4, 0.5)
+    params = StftParams(n_fft=cfg.n_fft, hop=cfg.hop)
+    X = stft(_wave(40 * cfg.hop, seed=8, sr=cfg.sample_rate), params)
+    t0 = 20
+    bins = X.bins.copy()
+    bins[:, t0] *= 2.0
+    a = generator_forward(X, w, cfg).bins
+    b = generator_forward(ComplexSpectrogram(bins, params), w, cfg).bins
+    diff = np.abs(a - b).max(axis=0)
+    assert diff[t0 - R] > 0 and diff[t0 + R] > 0
+    assert np.all(diff[: t0 - R] == 0.0) and np.all(diff[t0 + R + 1:] == 0.0)
 
 
 def test_forward_shape_and_determinism():
@@ -381,24 +407,31 @@ def test_restore_sample_rate_check():
         restore(_wave(1000, sr=48000), w, cfg)
 
 
-def test_restore_chunked_matches_plain_for_short_input():
-    cfg = toy_config()
-    w = init_weights(cfg, 5)
-    x = _wave(2000, seed=2, sr=cfg.sample_rate)
-    a = restore(x, w, cfg)
-    b = restore_chunked(x, w, cfg, chunk_s=1.0, overlap_s=0.1)
-    assert np.array_equal(a.samples, b.samples)
+def _single_pass(x, w, cfg):
+    """stft -> generator_forward over the whole spectrogram -> istft."""
+    X = stft(x, StftParams(n_fft=cfg.n_fft, hop=cfg.hop))
+    return istft(generator_forward(X, w, cfg), len(x), sample_rate=x.sample_rate)
 
 
-def test_restore_chunked_long_input():
+def test_restore_tiles_match_single_pass(monkeypatch):
+    """Halo-tiled restore() equals one forward pass over the whole input,
+    including a last core shorter than the halo; an input that fits one tile
+    gives the single pass bit for bit."""
     cfg = toy_config()
-    w = init_weights(cfg, 5)
-    x = _wave(7000, seed=2, sr=cfg.sample_rate)
-    out = restore_chunked(x, w, cfg, chunk_s=0.2, overlap_s=0.05)
-    assert len(out) == len(x)
-    assert np.all(np.isfinite(out.samples))
-    # chunking with crossfade stays close to the unchunked result away
-    # from chunk boundaries in scale, i.e. no blowups
-    ref = restore(x, w, cfg)
-    scale = np.max(np.abs(ref.samples)) + 1e-12
-    assert np.max(np.abs(out.samples)) < 10 * scale
+    w = _gamma_weights(cfg, 1, 0.5)
+    R = receptive_field(cfg)
+    monkeypatch.setattr(generator, "TILE_FRAMES", 16)
+    x = _wave(86 * cfg.hop + 37, seed=1, sr=cfg.sample_rate)    # 87 frames
+    plan = tile_plan(len(x), cfg)
+    assert len(plan) == 6 and plan[-1][2] - plan[-1][1] < R
+    # contiguous cores, each with an R-frame halo clipped at the ends
+    assert [p[1] for p in plan] == [0] + [p[2] for p in plan[:-1]] and plan[-1][2] == 87
+    for lo, start, stop, hi in plan:
+        assert start - lo == min(R, start) and hi - stop == min(R, 87 - stop)
+    ref = _single_pass(x, w, cfg).samples
+    out = restore(x, w, cfg).samples
+    assert np.max(np.abs(out - ref)) <= 1e-6 * np.sqrt(np.mean(ref**2))
+
+    short = Waveform(x.samples[: 15 * cfg.hop], x.sample_rate)  # 16 frames
+    assert len(tile_plan(len(short), cfg)) == 1
+    assert np.array_equal(restore(short, w, cfg).samples, _single_pass(short, w, cfg).samples)

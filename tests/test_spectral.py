@@ -30,9 +30,9 @@ def test_frame_matches_naive_dft():
 
 
 def test_frame_count():
-    for n in [256, 257, 1000, 4096]:
-        spec = stft(_wave(n), StftParams(n_fft=256, hop=128))
-        assert spec.bins.shape == (129, 1 + n // 128)
+    for n in [1, 100, 256, 257, 1000, 4096]:
+        spec = stft(_wave(n), TOY)
+        assert spec.bins.shape == (129, 1 + n // 128) == (129, TOY.frames(n))
 
 
 def test_round_trip_exact():

@@ -56,3 +56,29 @@ def test_tracer_install_uninstall(monkeypatch):
     assert calls["nncore.rmsnorm"] == 2 * cfg.n_band + cfg.L * (2 + per_layer)
     for stage in degrade.STAGE_ORDER:     # once in the chain, once in the replay
         assert calls.get(f"degrade.{stage}", 0) == 2, stage
+
+
+def test_tracer_sees_every_tile(monkeypatch):
+    """A multi-tile restore through the CLI's traced name runs one traced
+    generator_forward per tile, and the frame counter adds up each tile's
+    halo work: T + 2R(tiles - 1) when no halo is clipped short."""
+    tracing = _load_tracing(monkeypatch)
+    monkeypatch.setattr(generator, "TILE_FRAMES", 16)
+    cfg = generator.toy_config()
+    x = Waveform(0.1 * np.random.default_rng(1).standard_normal(59 * cfg.hop),
+                 cfg.sample_rate)                      # 60 frames: cores 16, 16, 16, 12
+    tiles = len(generator.tile_plan(len(x), cfg))
+    R = generator.receptive_field(cfg)
+    tracer = tracing.Tracer()
+    tracer.install(vocalrestore)
+    try:
+        tracer.op = 0
+        cli.restore_chunked(x, generator.init_weights(cfg, 0), cfg)
+    finally:
+        tracer.uninstall()
+    calls = {name: agg["calls"] for name, agg in tracer.layer_totals()[0].items()}
+    assert tiles == 4
+    assert calls["generator.restore_chunked"] == 1
+    assert calls["generator.forward"] == tiles
+    assert calls["generator.block"] == tiles * cfg.L
+    assert tracer.counts["generator.frames_computed"] == 60 + 2 * R * (tiles - 1)
