@@ -8,7 +8,7 @@ with persisted left vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,6 @@ class DiscriminatorConfig:
     period_stride: tuple = (3, 1)
     stft_kernel: tuple = (3, 3)
     stft_stride: tuple = (2, 2)
-    multi_band: bool = False       # optional band-sliced STFT branch
-    multi_band_slices: int = 4
     power_iters: int = 1
 
     def __post_init__(self):
@@ -43,11 +41,7 @@ class DiscriminatorConfig:
 
     @property
     def branch_count(self) -> int:
-        return (
-            len(self.periods)
-            + len(self.stft_resolutions)
-            + (1 if self.multi_band else 0)
-        )
+        return len(self.periods) + len(self.stft_resolutions)
 
 
 @dataclass
@@ -119,10 +113,6 @@ def _conv2d(x: np.ndarray, kernel: np.ndarray, bias, stride: tuple) -> np.ndarra
     return out
 
 
-def _layer_names(branch: str, n_layers: int):
-    return [f"{branch}.layer{i}" for i in range(n_layers)] + [f"{branch}.final"]
-
-
 def init_discriminator_weights(config: DiscriminatorConfig, seed: int) -> dict:
     """Seeded uniform +-sqrt(1/fan_in) conv weights, zero biases."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -149,8 +139,6 @@ def init_discriminator_weights(config: DiscriminatorConfig, seed: int) -> dict:
         add_stack(f"period{p}", 1, config.period_kernel)
     for n_fft, hop in config.stft_resolutions:
         add_stack(f"stft{n_fft}_{hop}", 1, config.stft_kernel)
-    if config.multi_band:
-        add_stack("multiband", config.multi_band_slices, config.stft_kernel)
     return store
 
 
@@ -204,21 +192,6 @@ def discriminator_forward(
         grid = magnitude(spec)[None]
         score, feats = _run_stack(
             grid, f"stft{n_fft}_{hop}", weights, config, config.stft_stride, state
-        )
-        outputs.append(BranchOutput(score, feats))
-
-    if config.multi_band:
-        n_fft, hop = config.stft_resolutions[0]
-        spec = stft(wave, StftParams(n_fft=n_fft, hop=hop))
-        mag = magnitude(spec)
-        F = mag.shape[0]
-        k = config.multi_band_slices
-        step = F // k
-        slices = [mag[i * step:(i + 1) * step if i < k - 1 else F] for i in range(k)]
-        h = min(s.shape[0] for s in slices)
-        grid = np.stack([s[:h] for s in slices])
-        score, feats = _run_stack(
-            grid, "multiband", weights, config, config.stft_stride, state
         )
         outputs.append(BranchOutput(score, feats))
     return outputs

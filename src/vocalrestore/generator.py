@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class ModelConfig:
     dilation_cap: int = 8
     ff_expansion: int = 2
     eps: float = 1e-8
-    sequential_paths: bool = False   # sum the two pathways (default) or chain them
 
     def __post_init__(self):
         F = self.n_fft // 2 + 1
@@ -84,9 +83,7 @@ class ModelConfig:
             key, value = key.strip(), value.strip()
             if key not in cls.__dataclass_fields__:
                 raise FormatError(f"unknown config key {key!r}")
-            if value in ("True", "False"):
-                kwargs[key] = value == "True"
-            elif key == "eps":
+            if key == "eps":
                 kwargs[key] = float(value)
             else:
                 kwargs[key] = int(value)
@@ -231,46 +228,47 @@ def load_weights(path) -> dict:
 def stem(packed: list[np.ndarray], weights: dict, config: ModelConfig) -> np.ndarray:
     """Per-band RMSNorm + 1x1 projection to the shared width N.
 
-    Returns H0 of shape (n_band, N, T_s).
+    Returns H0 of shape (N, n_band, T_s), the one layout the block stack and
+    the heads use.
     """
     if len(packed) != config.n_band:
         raise ShapeError(f"expected {config.n_band} bands, got {len(packed)}")
     T = packed[0].shape[1]
-    H = np.empty((config.n_band, config.N, T), dtype=packed[0].dtype)
+    H = np.empty((config.N, config.n_band, T), dtype=packed[0].dtype)
     for i, feats in enumerate(packed):
         p = f"stem.band{i}"
         x = rmsnorm(feats, weights[f"{p}.norm.gain"])
-        H[i] = pointwise_conv(x, weights[f"{p}.proj.weight"], weights[f"{p}.proj.bias"])
+        H[:, i] = pointwise_conv(x, weights[f"{p}.proj.weight"], weights[f"{p}.proj.bias"])
     return H
 
 
 def _attention_path(H: np.ndarray, weights: dict, config: ModelConfig, prefix: str):
     """Cross-band attention + SwiGLU feedforward, each with its own residual.
 
-    H: (n_band, N, T). Attention runs along the band axis independently per
+    H: (N, n_band, T). Attention runs along the band axis independently per
     frame; RoPE on queries/keys is keyed by band index.
     """
-    nb, N, T = H.shape
+    N, nb, T = H.shape
     heads, d = config.heads, N // config.heads
     w = weights
 
-    x = rmsnorm(H, w[f"{prefix}.attn.norm.gain"], axis=1)
+    x = rmsnorm(H, w[f"{prefix}.attn.norm.gain"])
 
     def proj(name):
         y = pointwise_conv(x, w[f"{prefix}.attn.{name}.weight"], w[f"{prefix}.attn.{name}.bias"])
-        # (nb, N, T) -> (T, heads, nb, d): sequence axis is the band axis
-        return y.reshape(nb, heads, d, T).transpose(3, 1, 0, 2)
+        # (N, nb, T) -> (T, heads, nb, d): sequence axis is the band axis
+        return y.reshape(heads, d, nb, T).transpose(3, 0, 2, 1)
 
     q, k, v = proj("q"), proj("k"), proj("v")
     pos = np.arange(nb)
     q = rope(q, pos)
     k = rope(k, pos)
     out = attention_core(q, k, v)                       # (T, heads, nb, d)
-    out = out.transpose(2, 1, 3, 0).reshape(nb, N, T)
+    out = out.transpose(1, 3, 2, 0).reshape(N, nb, T)
     out = pointwise_conv(out, w[f"{prefix}.attn.out.weight"], w[f"{prefix}.attn.out.bias"])
     A = H + out
 
-    x = rmsnorm(A, w[f"{prefix}.ffn.norm.gain"], axis=1)
+    x = rmsnorm(A, w[f"{prefix}.ffn.norm.gain"])
     hidden = silu(
         pointwise_conv(x, w[f"{prefix}.ffn.w_gate.weight"], w[f"{prefix}.ffn.w_gate.bias"])
     ) * pointwise_conv(x, w[f"{prefix}.ffn.w_in.weight"], w[f"{prefix}.ffn.w_in.bias"])
@@ -281,40 +279,36 @@ def _attention_path(H: np.ndarray, weights: dict, config: ModelConfig, prefix: s
 def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: int):
     """Stack of dilated depthwise ConvNeXT blocks over time, weights shared
     across bands; returns the delta added to the long residual."""
-    nb, N, T = H.shape
-    x = H.reshape(nb * N, T)
+    x = H
     w = weights
     for j, dil in enumerate(config.dilations(layer_index)):
         q = f"{prefix}.temporal{j}"
-        kern = np.tile(w[f"{q}.dw.kernel"], (nb, 1))
-        u = depthwise_conv1d(x, kern, dilation=dil)
-        u += np.tile(w[f"{q}.dw.bias"], nb)[:, None]
-        u = u.reshape(nb, N, T)
-        u = rmsnorm(u, w[f"{q}.norm.gain"], axis=1)
+        u = depthwise_conv1d(x, w[f"{q}.dw.kernel"], dilation=dil)
+        u += w[f"{q}.dw.bias"][:, None, None]
+        u = rmsnorm(u, w[f"{q}.norm.gain"])
         u = pointwise_conv(u, w[f"{q}.pw1.weight"], w[f"{q}.pw1.bias"])
-        u = glu(u, axis=1)
+        u = glu(u)
         u = pointwise_conv(u, w[f"{q}.pw2.weight"], w[f"{q}.pw2.bias"])
-        x = x + (u * w[f"{q}.gamma"][None, :, None]).reshape(nb * N, T)
-    return x.reshape(nb, N, T) - H
+        x = x + u * w[f"{q}.gamma"][:, None, None]
+    return x - H
 
 
 def band_sequence_block(
     H: np.ndarray, weights: dict, config: ModelConfig, layer_index: int
 ) -> np.ndarray:
     """One band-sequence block: cross-band attention pathway plus within-band
-    temporal pathway, combined with the block input via a long residual."""
-    if H.shape[:2] != (config.n_band, config.N):
-        raise ShapeError(f"expected ({config.n_band}, {config.N}, T), got {H.shape}")
+    temporal pathway, both read from the block input H: (N, n_band, T) and
+    summed onto it via a long residual."""
+    if H.shape[:2] != (config.N, config.n_band):
+        raise ShapeError(f"expected ({config.N}, {config.n_band}, T), got {H.shape}")
     prefix = f"block{layer_index}"
     attn_delta = _attention_path(H, weights, config, prefix)
-    if config.sequential_paths:
-        mid = H + attn_delta
-        return mid + _temporal_path(mid, weights, config, prefix, layer_index)
     return H + attn_delta + _temporal_path(H, weights, config, prefix, layer_index)
 
 
 def synthesis_head(H_i: np.ndarray, weights: dict, band_index: int, bw: int):
-    """RMSNorm -> 1x1 conv -> SiLU -> 1x1 conv -> GLU, reshaped to (bw, T, 2)."""
+    """RMSNorm -> 1x1 conv -> SiLU -> 1x1 conv -> GLU on one band's (N, T)
+    slice, reshaped to (bw, T, 2)."""
     p = f"head.band{band_index}"
     x = rmsnorm(H_i, weights[f"{p}.norm.gain"])
     x = pointwise_conv(x, weights[f"{p}.conv1.weight"], weights[f"{p}.conv1.bias"])
@@ -322,7 +316,7 @@ def synthesis_head(H_i: np.ndarray, weights: dict, band_index: int, bw: int):
     x = pointwise_conv(x, weights[f"{p}.conv2.weight"], weights[f"{p}.conv2.bias"])
     if x.shape[0] != 4 * bw:
         raise ShapeError(f"head {band_index}: pre-GLU channels {x.shape[0]} != {4 * bw}")
-    x = glu(x, axis=0)                       # (2*bw, T)
+    x = glu(x)                               # (2*bw, T)
     T = x.shape[1]
     return x.reshape(bw, 2, T).transpose(0, 2, 1)
 
@@ -342,7 +336,7 @@ def generator_forward(
         H = band_sequence_block(H, w32, config, layer)
 
     outputs = [
-        synthesis_head(H[i], w32, i, bw) for i, bw in enumerate(layout.widths)
+        synthesis_head(H[:, i], w32, i, bw) for i, bw in enumerate(layout.widths)
     ]
     grid = reassemble(outputs, layout).astype(np.float64)
     return ComplexSpectrogram(grid[..., 0] + 1j * grid[..., 1], X.params)

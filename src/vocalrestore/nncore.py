@@ -1,8 +1,10 @@
 """Deterministic neural kernels of the generator forward path.
 
-All kernels are pure functions over (..., channels, time) or
-(..., sequence, features) numpy arrays; compute dtype follows the input
-dtype so callers choose precision. No autodiff, no dropout, no state.
+The convolution, normalization and gating kernels are channel-first: they
+take (C, ..., T) arrays and act on axis 0 (channels) and the last axis
+(time). rope and attention_core take (..., sequence, features). All are pure
+functions; compute dtype follows the input dtype so callers choose
+precision. No autodiff, no dropout, no state.
 """
 
 from __future__ import annotations
@@ -25,35 +27,35 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
-def rmsnorm(x: np.ndarray, gain: np.ndarray, axis: int = 0) -> np.ndarray:
-    """x / sqrt(mean(x^2) + delta) * gain, normalized over `axis`."""
+def rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """x / sqrt(mean(x^2) + delta) * gain, normalized over the channel axis 0."""
     gain = np.asarray(gain)
-    if x.shape[axis] != gain.shape[0]:
+    if x.shape[0] != gain.shape[0]:
         raise ShapeError(
-            f"gain length {gain.shape[0]} != feature dim {x.shape[axis]}"
+            f"gain length {gain.shape[0]} != feature dim {x.shape[0]}"
         )
-    ms = np.mean(np.square(x), axis=axis, keepdims=True)
-    shape = [1] * x.ndim
-    shape[axis] = -1
-    return x / np.sqrt(ms + RMSNORM_DELTA) * gain.reshape(shape)
+    ms = np.mean(np.square(x), axis=0, keepdims=True)
+    return x / np.sqrt(ms + RMSNORM_DELTA) * gain.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
 def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
-    """1x1 convolution: per-position affine map (..., C_in, T) -> (..., C_out, T)."""
-    if x.shape[-2] != weights.shape[1]:
+    """1x1 convolution as one GEMM: per-position affine map
+    (C_in, ..., T) -> (C_out, ..., T)."""
+    if x.shape[0] != weights.shape[1]:
         raise ShapeError(
-            f"input channels {x.shape[-2]} != weight columns {weights.shape[1]}"
+            f"input channels {x.shape[0]} != weight columns {weights.shape[1]}"
         )
-    out = np.einsum("oc,...ct->...ot", weights, x, optimize=True)
+    out = (weights @ x.reshape(x.shape[0], -1)).reshape((weights.shape[0],) + x.shape[1:])
     if bias is not None:
-        out += np.asarray(bias)[:, None]
+        out += np.asarray(bias).reshape((-1,) + (1,) * (x.ndim - 1))
     return out
 
 
 def depthwise_conv1d(x: np.ndarray, kernels: np.ndarray, dilation: int = 1) -> np.ndarray:
-    """Per-channel dilated correlation, same-length output via zero padding.
+    """Per-channel dilated correlation along time, same-length output via
+    zero padding.
 
-    x: (C, T); kernels: (C, k) with k odd.
+    x: (C, ..., T); kernels: (C, k) with k odd, shared over the middle axes.
     """
     kernels = np.asarray(kernels)
     if kernels.ndim != 2 or kernels.shape[0] != x.shape[0]:
@@ -66,22 +68,22 @@ def depthwise_conv1d(x: np.ndarray, kernels: np.ndarray, dilation: int = 1) -> n
     if dilation < 1:
         raise ConfigError(f"dilation must be >= 1, got {dilation}")
     half = (k - 1) // 2 * dilation
-    T = x.shape[1]
-    padded = np.pad(x, ((0, 0), (half, half)))
+    T = x.shape[-1]
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)])
+    kernels = kernels.reshape(kernels.shape + (1,) * (x.ndim - 1))
     out = np.zeros_like(x)
     for j in range(k):
         off = j * dilation
-        out += kernels[:, j:j + 1] * padded[:, off:off + T]
+        out += kernels[:, j] * padded[..., off:off + T]
     return out
 
 
-def glu(x: np.ndarray, axis: int = 0) -> np.ndarray:
+def glu(x: np.ndarray) -> np.ndarray:
     """First half of the channels gated by the sigmoid of the second half."""
-    n = x.shape[axis]
+    n = x.shape[0]
     if n % 2:
         raise ShapeError(f"GLU needs an even channel count, got {n}")
-    value, gate = np.split(x, 2, axis=axis)
-    return value * sigmoid(gate)
+    return x[:n // 2] * sigmoid(x[n // 2:])
 
 
 def rope(x: np.ndarray, positions) -> np.ndarray:

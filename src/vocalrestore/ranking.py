@@ -161,7 +161,6 @@ def fit_bradley_terry(
     T = W + W.T
     p = np.ones(n)
     for _ in range(max_iter):
-        denom = np.zeros(n)
         pair = p[:, None] + p[None, :]
         active = T > 0
         denom = np.where(active, T / np.where(active, pair, 1.0), 0.0).sum(axis=1)

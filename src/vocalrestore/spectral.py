@@ -23,9 +23,7 @@ COLA_FLOOR = 1e-8
 
 
 @lru_cache(maxsize=32)
-def _window(name: str, n_fft: int) -> np.ndarray:
-    if name != "hann":
-        raise ShapeError(f"unknown window {name!r}")
+def _window(n_fft: int) -> np.ndarray:
     # Periodic Hann: COLA-compliant at 50% overlap.
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft))
 
@@ -34,21 +32,19 @@ def _window(name: str, n_fft: int) -> np.ndarray:
 class StftParams:
     n_fft: int = 4096
     hop: int = 2048
-    window: str = "hann"
 
     def __post_init__(self):
         if self.n_fft <= 0 or self.n_fft % 2:
             raise ShapeError(f"n_fft must be positive and even, got {self.n_fft}")
         if not (0 < self.hop <= self.n_fft):
             raise ShapeError(f"need 0 < hop <= n_fft, got hop={self.hop}")
-        _window(self.window, self.n_fft)
 
     @property
     def n_bins(self) -> int:
         return self.n_fft // 2 + 1
 
     def window_array(self) -> np.ndarray:
-        return _window(self.window, self.n_fft)
+        return _window(self.n_fft)
 
     def frames(self, n_samples: int) -> int:
         """Number of frames stft() gives for n_samples >= 1 samples."""
@@ -101,14 +97,6 @@ def stft(wave: Waveform, params: StftParams | None = None) -> ComplexSpectrogram
     return ComplexSpectrogram(spec, params)
 
 
-def _ola_window_sq(params: StftParams, n_frames: int, total: int) -> np.ndarray:
-    wsq = params.window_array() ** 2
-    den = np.zeros(total)
-    for t in range(n_frames):
-        den[t * params.hop:t * params.hop + params.n_fft] += wsq
-    return den
-
-
 def istft(spec: ComplexSpectrogram, length: int, sample_rate: int = 1) -> Waveform:
     """Weighted-overlap-add synthesis back to `length` samples.
 
@@ -127,11 +115,13 @@ def istft(spec: ComplexSpectrogram, length: int, sample_rate: int = 1) -> Wavefo
 
     win = params.window_array()
     frames = np.fft.irfft(spec.bins.T, n=n_fft, axis=1) * win
+    wsq = win ** 2
     out = np.zeros(total)
+    den = np.zeros(total)
     for t in range(n_frames):
         out[t * hop:t * hop + n_fft] += frames[t]
+        den[t * hop:t * hop + n_fft] += wsq
 
-    den = _ola_window_sq(params, n_frames, total)
     used = slice(offset, offset + length)
     if length and np.min(den[used]) <= COLA_FLOOR:
         raise NonInvertibleError(

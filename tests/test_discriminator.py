@@ -35,7 +35,6 @@ def test_config_validation():
 
 def test_branch_count():
     assert DiscriminatorConfig().branch_count == 8
-    assert DiscriminatorConfig(multi_band=True).branch_count == 9
     assert SMALL.branch_count == 4
 
 
@@ -129,20 +128,6 @@ def test_period_fold_shapes():
     f2 = outs[0].features[0]
     f3 = outs[1].features[0]
     assert f2.shape != f3.shape
-
-
-def test_multi_band_branch():
-    cfg = DiscriminatorConfig(
-        periods=(2,),
-        stft_resolutions=((256, 64),),
-        channels=(4,),
-        multi_band=True,
-        multi_band_slices=4,
-    )
-    w = init_discriminator_weights(cfg, 0)
-    outs = discriminator_forward(_wave(2048, seed=6), w, cfg)
-    assert len(outs) == 3
-    assert np.isfinite(outs[-1].score)
 
 
 def test_init_weights_deterministic_and_bounded():

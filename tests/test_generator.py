@@ -3,7 +3,7 @@ import pytest
 
 from vocalrestore import generator
 from vocalrestore.audio_io import Waveform
-from vocalrestore.bandsplit import pack_band_features
+from vocalrestore.bandsplit import pack_band_features, reassemble
 from vocalrestore.errors import FormatError, ManifestError, SampleRateError, ShapeError
 from vocalrestore.generator import (
     CONVNEXT_BLOCKS_PER_LAYER,
@@ -20,6 +20,7 @@ from vocalrestore.generator import (
     restore,
     save_weights,
     stem,
+    synthesis_head,
     tile_plan,
     toy_config,
 )
@@ -51,7 +52,7 @@ def test_dilation_schedule():
 
 
 def test_config_text_round_trip():
-    cfg = toy_config(n_band=4, eps=1e-7, sequential_paths=True)
+    cfg = toy_config(n_band=4, eps=1e-7, dilation_cap=4)
     assert ModelConfig.from_text(cfg.to_text()) == cfg
     with pytest.raises(FormatError):
         ModelConfig.from_text("nonsense_key = 3\n")
@@ -190,36 +191,11 @@ def test_zeroed_projections_make_block_identity():
     w = {k: v.astype(np.float32) for k, v in
          _zero_block_projections(init_weights(cfg, 1), cfg).items()}
     H = np.asarray(
-        np.random.default_rng(5).standard_normal((4, 8, 12)), dtype=np.float32
+        np.random.default_rng(5).standard_normal((8, 4, 12)), dtype=np.float32
     )
     for layer in range(cfg.L):
         out = band_sequence_block(H, w, cfg, layer)
         assert np.array_equal(out, H)
-
-
-@pytest.mark.parametrize("zero_temporal", [False, True])
-def test_block_pathway_combination(zero_temporal):
-    """With the temporal pathway zeroed, sequential and parallel summation
-    agree; with both live they differ."""
-    w = init_weights(toy_config(n_band=4, N=8, L=1, heads=2), 2)
-    # gammas of 0.5 make the temporal pathway matter; 0 switches it off
-    for k in list(w):
-        if k.endswith(".gamma"):
-            w[k] = np.full_like(w[k], 0.0 if zero_temporal else 0.5)
-    H = np.asarray(
-        np.random.default_rng(6).standard_normal((4, 8, 12)), dtype=np.float32
-    )
-    par, seq = (
-        band_sequence_block(
-            H, w, toy_config(n_band=4, N=8, L=1, heads=2, sequential_paths=sequential), 0
-        )
-        for sequential in (False, True)
-    )
-    assert par.shape == H.shape and np.all(np.isfinite(par))
-    if zero_temporal:
-        assert np.array_equal(par, seq)
-    else:
-        assert np.max(np.abs(par - seq)) > 1e-9
 
 
 def _sublayer_weights(cfg, seed, zeroed):
@@ -249,15 +225,15 @@ def test_attention_sublayer_oracle():
     the bands, with RoPE keyed on band index (FFN output zeroed, float64)."""
     cfg = toy_config(n_band=6, N=8, L=1, heads=2)
     w = _sublayer_weights(cfg, 20, "ffn.w_out")
-    H = np.random.default_rng(21).standard_normal((6, 8, 5))
+    H = np.random.default_rng(21).standard_normal((8, 6, 5))
     delta = band_sequence_block(H, w, cfg, 0) - H
     gain = w["block0.attn.norm.gain"]
     mats = [w[f"block0.attn.{n}.weight"] for n in ("q", "k", "v", "out")]
     biases = [w[f"block0.attn.{n}.bias"] for n in ("q", "k", "v", "out")]
     for t in range(H.shape[2]):
-        x = np.column_stack([_rmsnorm_column(H[b, :, t], gain) for b in range(6)])
+        x = np.column_stack([_rmsnorm_column(H[:, b, t], gain) for b in range(6)])
         ref = dense_attention(x, *mats, *biases, cfg.heads)     # (N, bands)
-        assert np.max(np.abs(delta[:, :, t].T - ref)) < 1e-12
+        assert np.max(np.abs(delta[:, :, t] - ref)) < 1e-12
 
 
 def test_ffn_sublayer_oracle():
@@ -266,31 +242,16 @@ def test_ffn_sublayer_oracle():
     float64)."""
     cfg = toy_config(n_band=3, N=4, L=1, heads=2)
     w = _sublayer_weights(cfg, 10, "attn.out")
-    H = np.random.default_rng(11).standard_normal((3, 4, 6))
+    H = np.random.default_rng(11).standard_normal((4, 3, 6))
     delta = band_sequence_block(H, w, cfg, 0) - H
     p = "block0.ffn"
     for b in range(3):
         for t in range(6):
-            x = _rmsnorm_column(H[b, :, t], w[f"{p}.norm.gain"])
+            x = _rmsnorm_column(H[:, b, t], w[f"{p}.norm.gain"])
             g = w[f"{p}.w_gate.weight"] @ x + w[f"{p}.w_gate.bias"]
             hidden = g / (1.0 + np.exp(-g)) * (w[f"{p}.w_in.weight"] @ x + w[f"{p}.w_in.bias"])
             ref = w[f"{p}.w_out.weight"] @ hidden + w[f"{p}.w_out.bias"]
-            assert np.max(np.abs(delta[b, :, t] - ref)) < 1e-12
-
-
-def test_sequential_vs_parallel_differ():
-    w = init_weights(toy_config(n_band=4, N=8, L=1, heads=2), 2)
-    for k in list(w):
-        if k.endswith(".gamma"):
-            w[k] = np.full_like(w[k], 0.5)
-    H = np.asarray(
-        np.random.default_rng(6).standard_normal((4, 8, 12)), dtype=np.float32
-    )
-    par = band_sequence_block(H, w, toy_config(n_band=4, N=8, L=1, heads=2), 0)
-    seq = band_sequence_block(
-        H, w, toy_config(n_band=4, N=8, L=1, heads=2, sequential_paths=True), 0
-    )
-    assert np.max(np.abs(par - seq)) > 1e-9
+            assert np.max(np.abs(delta[:, b, t] - ref)) < 1e-12
 
 
 def _gamma_weights(cfg, seed, gamma):
@@ -303,6 +264,35 @@ def _gamma_weights(cfg, seed, gamma):
     return w
 
 
+@pytest.mark.parametrize("zero_temporal", [False, True])
+def test_block_pathway_combination(zero_temporal):
+    """Both pathways read the block input and their deltas add: block(H) - H
+    equals the attention-only delta (temporal gammas zeroed) plus the
+    temporal-only delta (attention and FFN outputs zeroed), in float64. A
+    temporal path fed H + attention delta fails this. With every gamma at 0
+    the temporal pathway is switched off exactly and the block is its
+    attention-only form."""
+    cfg = toy_config(n_band=4, N=8, L=1, heads=2)
+    gamma = 0.0 if zero_temporal else 0.5
+    w = {k: v.astype(np.float64) for k, v in _gamma_weights(cfg, 2, gamma).items()}
+    no_temporal = {k: np.zeros_like(v) if k.endswith(".gamma") else v for k, v in w.items()}
+    no_attention = {
+        k: np.zeros_like(v) if ".attn.out." in k or ".ffn.w_out." in k else v
+        for k, v in w.items()
+    }
+    H = np.random.default_rng(6).standard_normal((8, 4, 12))
+    both, attn, temporal = (
+        band_sequence_block(H, ws, cfg, 0) - H for ws in (w, no_temporal, no_attention)
+    )
+    assert np.max(np.abs(attn)) > 1e-3
+    if zero_temporal:
+        assert not np.any(temporal)
+        assert np.array_equal(both, attn)
+    else:
+        assert np.max(np.abs(temporal)) > 1e-3
+        assert np.max(np.abs(both - (attn + temporal))) < 1e-12
+
+
 def test_temporal_receptive_field():
     """A single-frame perturbation can only propagate 1 + d + 1 frames per
     layer through the dilated depthwise stack; attention is frame-local.
@@ -312,7 +302,7 @@ def test_temporal_receptive_field():
     w = _gamma_weights(cfg, 4, 1.0)
     rng = np.random.default_rng(7)
     T, t0 = 31, 15
-    H = np.asarray(rng.standard_normal((2, 8, T)), dtype=np.float32)
+    H = np.asarray(rng.standard_normal((8, 2, T)), dtype=np.float32)
     H2 = H.copy()
     H2[:, :, t0] += 1.0
     a = band_sequence_block(H, w, cfg, 0)
@@ -352,6 +342,30 @@ def test_forward_shape_and_determinism():
     assert np.array_equal(y1.bins, y2.bins)
     with pytest.raises(ShapeError):
         generator_forward(spec, w, toy_config(n_fft=512, hop=256))
+
+
+def test_forward_matches_float64_reference():
+    """generator_forward against the same stem -> blocks -> heads ->
+    reassemble chain run on float64 weights and packed features, at the full
+    config with the temporal path live: within 1e-5 of the output RMS."""
+    cfg = ModelConfig()
+    w = _gamma_weights(cfg, 0, 0.5)
+    X = stft(_wave(2 * cfg.sample_rate, seed=9, sr=cfg.sample_rate),
+             StftParams(n_fft=cfg.n_fft, hop=cfg.hop))
+    out = generator_forward(X, w, cfg).bins
+
+    w64 = {k: v.astype(np.float64) for k, v in w.items()}
+    layout = cfg.layout()
+    H = stem(pack_band_features(X, layout, cfg.eps), w64, cfg)   # float64 features
+    for layer in range(cfg.L):
+        H = band_sequence_block(H, w64, cfg, layer)
+    grid = reassemble(
+        [synthesis_head(H[:, i], w64, i, bw) for i, bw in enumerate(layout.widths)], layout
+    )
+    assert grid.dtype == np.float64
+    ref = grid[..., 0] + 1j * grid[..., 1]
+    rms = np.sqrt(np.mean(np.abs(ref) ** 2))
+    assert np.max(np.abs(out - ref)) <= 1e-5 * rms
 
 
 def test_identity_weight_construction_restores_input():

@@ -39,14 +39,14 @@ def test_rmsnorm_definition():
         col = x[:, t]
         ref = col / np.sqrt(np.mean(col**2) + RMSNORM_DELTA) * gain
         assert np.max(np.abs(out[:, t] - ref)) < 1e-14
-    # (bands, features, T), normalized over the feature axis
-    x3 = _rng(4).standard_normal((3, 6, 11))
-    out3 = rmsnorm(x3, gain, axis=1)
+    # (features, bands, T), normalized over the feature axis
+    x3 = _rng(4).standard_normal((6, 3, 11))
+    out3 = rmsnorm(x3, gain)
     for b in range(3):
         for t in range(11):
-            col = x3[b, :, t]
+            col = x3[:, b, t]
             ref = col / np.sqrt(np.mean(col**2) + RMSNORM_DELTA) * gain
-            assert np.max(np.abs(out3[b, :, t] - ref)) < 1e-14
+            assert np.max(np.abs(out3[:, b, t] - ref)) < 1e-14
 
 
 def test_rmsnorm_unit_rms():
@@ -68,12 +68,12 @@ def test_pointwise_conv_oracle():
     assert np.max(np.abs(pointwise_conv(x, w, b) - matmul_per_position(x, w, b))) < 1e-12
     with pytest.raises(ShapeError):
         pointwise_conv(x, np.zeros((7, 6)))
-    # (bands, C_in, T): the same map applied to every band
-    x3 = _rng(7).standard_normal((3, 5, 9))
+    # (C_in, bands, T): the same map applied to every band
+    x3 = _rng(7).standard_normal((5, 3, 9))
     out3 = pointwise_conv(x3, w, b)
-    assert out3.shape == (3, 7, 9)
+    assert out3.shape == (7, 3, 9)
     for i in range(3):
-        assert np.max(np.abs(out3[i] - matmul_per_position(x3[i], w, b))) < 1e-12
+        assert np.max(np.abs(out3[:, i] - matmul_per_position(x3[:, i], w, b))) < 1e-12
     with pytest.raises(ShapeError):
         pointwise_conv(x3, np.zeros((7, 6)))
 
@@ -87,6 +87,13 @@ def test_depthwise_conv_oracle(dilation, k):
     ref = depthwise_conv_loops(x, kernels, dilation)
     assert out.shape == x.shape
     assert np.max(np.abs(out - ref)) < 1e-12
+    # (C, bands, T): each channel's kernel applied to every band
+    x3 = _rng(9).standard_normal((3, 4, 20))
+    out3 = depthwise_conv1d(x3, kernels, dilation)
+    assert out3.shape == x3.shape
+    for i in range(4):
+        ref = depthwise_conv_loops(x3[:, i], kernels, dilation)
+        assert np.max(np.abs(out3[:, i] - ref)) < 1e-12
 
 
 def test_depthwise_conv_errors():
