@@ -1,8 +1,9 @@
 """End-to-end band-split generator: stem, band-sequence blocks, synthesis
 heads, reassembly, plus weight init/serialization and waveform restoration.
 
-Forward math runs in float32 (deployment precision); the STFT front/back end
-stays in float64. All operations are deterministic.
+The network runs in float32 (deployment precision) from the stem to the
+synthesis heads; the STFT, band packing and reassembly stay in float64. All
+operations are deterministic.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The convolution, normalization and gating kernels are channel-first: they
 take (C, ..., T) arrays and act on axis 0 (channels) and the last axis
 (time). rope and attention_core take (..., sequence, features). All are pure
-functions; compute dtype follows the input dtype so callers choose
-precision. No autodiff, no dropout, no state.
+functions; compute dtype follows the input dtype (RoPE's tables and the
+attention scale included), so callers choose precision. No autodiff, no
+dropout, no state.
 """
 
 from __future__ import annotations
@@ -18,13 +19,19 @@ ROPE_BASE = 10000.0
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    # z * sigmoid(z), computed stably for large |z|
-    return x / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    s = sigmoid(x)
+    s *= x
+    return s
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Clip + exp: scipy.special.expit is slower at the generator's frame counts.
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    # Clip + exp on one buffer, in place: scipy.special.expit is slower at the
+    # generator's frame counts. The clip keeps exp finite for large |x|.
+    s = np.clip(x, -60.0, 60.0)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
 def rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -83,7 +90,9 @@ def glu(x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     if n % 2:
         raise ShapeError(f"GLU needs an even channel count, got {n}")
-    return x[:n // 2] * sigmoid(x[n // 2:])
+    gate = sigmoid(x[n // 2:])
+    gate *= x[:n // 2]
+    return gate
 
 
 def rope(x: np.ndarray, positions) -> np.ndarray:
@@ -94,7 +103,7 @@ def rope(x: np.ndarray, positions) -> np.ndarray:
         raise ConfigError(f"RoPE needs an even head dim, got {d}")
     theta = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
     ang = np.asarray(positions, dtype=np.float64)[:, None] * theta
-    cos, sin = np.cos(ang), np.sin(ang)
+    cos, sin = np.cos(ang).astype(x.dtype), np.sin(ang).astype(x.dtype)
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = even * cos - odd * sin
@@ -106,13 +115,16 @@ def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Scaled dot-product attention over the sequence axis.
 
     q, k, v: (..., S, d_head). This is the part whose cost is quadratic in
-    the sequence (band) count. The quadratic term dominates only from about
-    32 bands at head dim 32; below that, the per-GEMM dispatch and the
-    per-row max/sum reductions (linear in S) cost as much as the arithmetic.
+    the sequence (band) count. The scores are held key-major, (..., key,
+    query), so the softmax max and sum reduce over axis -2: NumPy reduces
+    many short last-axis rows several times slower than the same work
+    across rows. With that, in float32 at head dim 32 the quadratic term
+    dominates from about 32 bands; below that, the per-GEMM dispatch and the
+    per-query reductions (linear in S) cost as much as the arithmetic.
     """
-    d = q.shape[-1]
-    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(d)
-    scores -= scores.max(axis=-1, keepdims=True)
-    w = np.exp(scores)
-    w /= w.sum(axis=-1, keepdims=True)
-    return w @ v
+    # d ** -0.5 is a Python float, so the scaled q keeps the input's dtype.
+    scores = k @ np.swapaxes(q * q.shape[-1] ** -0.5, -1, -2)
+    scores -= scores.max(axis=-2, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-2, keepdims=True)
+    return np.swapaxes(scores, -1, -2) @ v

@@ -134,10 +134,13 @@ def test_criterion_5_attention_scaling():
     head layout (4 heads of dim 32), float32 inputs as in the forward
     pass, and band counts 32, 64, 128 bracketing the default n_band = 64,
     at 16, 32, 64 frames. Bracketing the default band count is a choice
-    of this test: the quadratic term is an asymptotic statement, and
-    below about 32 bands at head dim 32 the per-GEMM dispatch and the
-    per-row softmax reductions (linear in nb) cost as much as the
-    quadratic arithmetic, so a fit there measures NumPy overhead.
+    of this test: the quadratic term is an asymptotic statement. In
+    float32 at head dim 32, with the softmax reducing the key-major scores
+    across rows (axis -2), it dominates from about 32 bands; below that
+    the per-GEMM dispatch and the per-query reductions (linear in nb) cost
+    as much as the quadratic arithmetic, so a fit there measures NumPy
+    overhead. Short last-axis reductions would add such a linear cost
+    even inside this grid.
 
     Each cell repeats the call for at least ~25 ms per timing. All nine
     cells are timed in interleaved rounds and each keeps its minimum, so

@@ -344,6 +344,19 @@ def test_forward_shape_and_determinism():
         generator_forward(spec, w, toy_config(n_fft=512, hop=256))
 
 
+def test_stack_stays_float32():
+    """On float32 input the block stack and the heads compute in float32:
+    no kernel promotes to float64 (RoPE tables, attention scale)."""
+    cfg = toy_config()
+    w = {k: v.astype(np.float32) for k, v in _gamma_weights(cfg, 3, 0.5).items()}
+    H = np.random.default_rng(12).standard_normal((cfg.N, cfg.n_band, 9)).astype(np.float32)
+    for layer in range(cfg.L):
+        H = band_sequence_block(H, w, cfg, layer)
+        assert H.dtype == np.float32
+    for i, bw in enumerate(cfg.layout().widths):
+        assert synthesis_head(H[:, i], w, i, bw).dtype == np.float32
+
+
 def test_forward_matches_float64_reference():
     """generator_forward against the same stem -> blocks -> heads ->
     reassemble chain run on float64 weights and packed features, at the full

@@ -22,6 +22,12 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+# Input dtypes of the dtype-true kernels, and the bound on |kernel - float64
+# reference| for each, for O(1) values.
+DTYPES = (np.float64, np.float32)
+TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
 def test_silu_sigmoid_values():
     assert silu(np.array([0.0]))[0] == 0.0
     assert abs(silu(np.array([1.0]))[0] - 1.0 / (1.0 + np.exp(-1.0))) < 1e-15
@@ -116,56 +122,73 @@ def test_glu():
 
 
 def test_rope_identity_at_origin():
-    x = _rng(11).standard_normal((1, 8))
-    assert np.allclose(rope(x, [0]), x)
+    for dtype in DTYPES:
+        x = _rng(11).standard_normal((1, 8)).astype(dtype)
+        out = rope(x, [0])
+        assert out.dtype == dtype
+        assert np.array_equal(out, x)
 
 
 def test_rope_matches_reference():
-    """Each sequence position is rotated by its own angle."""
+    """Each sequence position is rotated by its own angle; the output keeps
+    the input's dtype."""
     positions = [1, 5, 100]
-    x = _rng(12).standard_normal((2, 3, 16))
-    out = rope(x, positions)
-    for h in range(2):
-        for s, pos in enumerate(positions):
-            assert np.max(np.abs(out[h, s] - rotate_pairs(x[h, s], pos))) < 1e-12
+    for dtype in DTYPES:
+        x = _rng(12).standard_normal((2, 3, 16)).astype(dtype)
+        out = rope(x, positions)
+        assert out.dtype == dtype
+        x64 = x.astype(np.float64)
+        for h in range(2):
+            for s, pos in enumerate(positions):
+                ref = rotate_pairs(x64[h, s], pos)
+                assert np.max(np.abs(out[h, s] - ref)) < TOL[dtype]
 
 
 def test_rope_preserves_norm():
-    x = _rng(13).standard_normal((3, 10))
-    out = rope(x, [17, 4, 250])
-    assert np.allclose(np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1))
-    with pytest.raises(ConfigError):
-        rope(np.zeros((3, 5)), [0, 1, 2])
+    for dtype in DTYPES:
+        x = _rng(13).standard_normal((3, 10)).astype(dtype)
+        out = rope(x, [17, 4, 250])
+        assert out.dtype == dtype
+        norms = np.linalg.norm(x.astype(np.float64), axis=-1)
+        out_norms = np.linalg.norm(out.astype(np.float64), axis=-1)
+        assert np.max(np.abs(out_norms - norms)) < TOL[dtype]
+        with pytest.raises(ConfigError):
+            rope(np.zeros((3, 5), dtype=dtype), [0, 1, 2])
 
 
 def test_rope_relative_position():
     """q(p1) . k(p2) depends only on p1 - p2."""
-    rng = _rng(14)
-    q, k = rng.standard_normal((1, 8)), rng.standard_normal((1, 8))
-    dots = [float(rope(q, [p + 3])[0] @ rope(k, [p])[0]) for p in (0, 11, 50)]
-    assert max(dots) - min(dots) < 1e-10
+    for dtype in DTYPES:
+        rng = _rng(14)
+        q, k = (rng.standard_normal((1, 8)).astype(dtype) for _ in range(2))
+        dots = [float(rope(q, [p + 3])[0] @ rope(k, [p])[0]) for p in (0, 11, 50)]
+        assert max(dots) - min(dots) < 100 * TOL[dtype]
 
 
 def test_attention_core_uniform_keys():
     """Identical keys give the mean of the values."""
-    rng = _rng(15)
-    q = rng.standard_normal((4, 8))
-    k = np.tile(rng.standard_normal(8), (4, 1))
-    v = rng.standard_normal((4, 8))
-    out = attention_core(q, k, v)
-    assert np.max(np.abs(out - v.mean(axis=0))) < 1e-12
+    for dtype in DTYPES:
+        rng = _rng(15)
+        q = rng.standard_normal((4, 8)).astype(dtype)
+        k = np.tile(rng.standard_normal(8), (4, 1)).astype(dtype)
+        v = rng.standard_normal((4, 8)).astype(dtype)
+        out = attention_core(q, k, v)
+        assert out.dtype == dtype
+        assert np.max(np.abs(out - v.astype(np.float64).mean(axis=0))) < TOL[dtype]
 
 
 def test_attention_core_one_hot():
     """A key that dominates the scores routes its value through."""
     d = 8
-    k = np.zeros((3, d))
-    k[1, 0] = 1.0
-    q = np.zeros((1, d))
-    q[0, 0] = 200.0 * np.sqrt(d)
-    v = np.arange(24, dtype=float).reshape(3, d)
-    out = attention_core(q, k, v)
-    assert np.max(np.abs(out[0] - v[1])) < 1e-10
+    for dtype in DTYPES:
+        k = np.zeros((3, d), dtype=dtype)
+        k[1, 0] = 1.0
+        q = np.zeros((1, d), dtype=dtype)
+        q[0, 0] = 200.0 * np.sqrt(d)
+        v = np.arange(24, dtype=dtype).reshape(3, d)
+        out = attention_core(q, k, v)
+        assert out.dtype == dtype
+        assert np.max(np.abs(out[0] - v[1])) < 1e-10
 
 
 def test_attention_permutation_equivariance_without_rope():
