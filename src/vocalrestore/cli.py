@@ -98,45 +98,46 @@ class BenchReport:
     mean_s: float
     audio_s: float
     rtf: float
-    threads: int    # BLAS thread cap applied, 0 when none was
+    threads: int    # BLAS threads in effect, 0 where OpenBLAS cannot be asked
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+def blas_threads_in_effect() -> int:
+    """Threads the OpenBLAS bundled with NumPy runs (OPENBLAS_NUM_THREADS sets
+    them at import), or 0 where it cannot be asked: NumPy on another BLAS."""
+    import ctypes
+    import glob
+
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return 0
+
+
 def run_bench(
-    weights, config: ModelConfig, seconds: float, runs: int, warmup: int,
-    seed: int = 0, threads: int = 0,
+    weights, config: ModelConfig, seconds: float, runs: int, warmup: int, seed: int = 0,
 ) -> BenchReport:
     """Time repeated restore() calls on a seeded noise input."""
     n = int(seconds * config.sample_rate)
     rng = np.random.Generator(np.random.Philox(seed))
     wave = Waveform(0.1 * rng.standard_normal(n), config.sample_rate)
 
-    ctx = None
-    applied = 0
-    if threads > 0:
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            print("warning: threadpoolctl is not installed; no BLAS thread cap applied",
-                  file=sys.stderr)
-        else:
-            # Oversubscribing physical cores thrashes BLAS; cap at what exists.
-            applied = min(threads, os.cpu_count() or 1)
-            ctx = threadpool_limits(limits=applied)
-
-    try:
-        for _ in range(warmup):
-            restore(wave, weights, config)
-        times = []
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            restore(wave, weights, config)
-            times.append(time.perf_counter() - t0)
-    finally:
-        if ctx is not None:
-            ctx.unregister()
+    for _ in range(warmup):
+        restore(wave, weights, config)
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        restore(wave, weights, config)
+        times.append(time.perf_counter() - t0)
 
     times = np.asarray(times)
     median = float(np.median(times))
@@ -147,7 +148,7 @@ def run_bench(
         mean_s=float(np.mean(times)),
         audio_s=seconds,
         rtf=seconds / median,
-        threads=applied,
+        threads=blas_threads_in_effect(),
     )
 
 
@@ -212,8 +213,7 @@ def cmd_rank(args) -> int:
 def cmd_bench(args) -> int:
     weights, config = _load_model(args)
     report = run_bench(
-        weights, config, args.seconds, args.runs, args.warmup,
-        seed=args.seed, threads=args.threads,
+        weights, config, args.seconds, args.runs, args.warmup, seed=args.seed
     )
     _emit(report.to_json(), args.out)
     return EXIT_OK
@@ -263,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=30, help="timed runs (default 30)")
     p.add_argument("--warmup", type=int, default=3, help="warmup runs (default 3)")
     p.add_argument("--seed", type=int, default=0, help="input noise seed (default 0)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="BLAS thread cap via threadpoolctl, 0 = leave unchanged; "
-                        "the report gives the cap applied (default 0)")
     p.add_argument("--out", default=None, help="write JSON report here (default: stdout)")
     p.set_defaults(func=cmd_bench)
     return parser

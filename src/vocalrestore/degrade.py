@@ -367,27 +367,24 @@ class StageTrace:
 
 
 def apply_chain(wave: Waveform, spec: DegradationSpec):
-    """Apply the configured stages in order, each enabled by an independent
-    seeded draw. Returns (degraded waveform, trace). Deterministic per
-    (wave, spec)."""
-    out = wave
+    """Draw the trace of the configured stages, each enabled by an independent
+    seeded draw that reads only the sample rate, then apply it with
+    replay_trace. Returns (degraded waveform, trace); deterministic per (wave, spec)."""
     trace = StageTrace()
     for idx, stage in enumerate(spec.stages):
         ss = np.random.SeedSequence([spec.seed, idx])
         rng = np.random.Generator(np.random.Philox(ss))
         sub_seed = int(ss.generate_state(1)[0])
-        enabled = bool(rng.random() < stage.prob)
-        if not enabled:
-            continue
-        _, _, sample, apply = STAGES[stage.name]
-        params = sample(rng, stage.ranges, sub_seed, wave.sample_rate)
-        out = apply(out, params)
-        trace.entries.append({"stage": stage.name, "params": params})
-    return out, trace
+        if rng.random() < stage.prob:
+            sample = STAGES[stage.name][2]
+            params = sample(rng, stage.ranges, sub_seed, wave.sample_rate)
+            trace.entries.append({"stage": stage.name, "params": params})
+    return replay_trace(wave, trace), trace
 
 
 def replay_trace(wave: Waveform, trace: StageTrace) -> Waveform:
-    """Reapply the exact recorded parameters; bit-exact against apply_chain."""
+    """Apply the recorded parameters in order; apply_chain runs its stages
+    through this loop, so replay is bit-exact against it."""
     out = wave
     for entry in trace.entries:
         apply = _stage(entry["stage"])[3]

@@ -18,6 +18,10 @@ from .spectral import StftParams, magnitude, stft
 
 LEAKY_SLOPE = 0.1
 SIGMA_FLOOR = 1e-12
+POWER_ITERS = 1
+# (kernel, stride) of every conv but the final projection, per branch kind.
+PERIOD_CONV = ((5, 1), (3, 1))
+STFT_CONV = ((3, 3), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -25,11 +29,6 @@ class DiscriminatorConfig:
     periods: tuple = (2, 3, 5, 7, 11)
     stft_resolutions: tuple = ((2048, 512), (1024, 256), (512, 128))
     channels: tuple = (8, 16, 32)
-    period_kernel: tuple = (5, 1)
-    period_stride: tuple = (3, 1)
-    stft_kernel: tuple = (3, 3)
-    stft_stride: tuple = (2, 2)
-    power_iters: int = 1
 
     def __post_init__(self):
         if len(set(self.periods)) != len(self.periods) or any(
@@ -67,7 +66,7 @@ class SpectralNormState:
 
 
 def spectral_normalize(
-    weight: np.ndarray, iters: int = 1, state: SpectralNormState | None = None,
+    weight: np.ndarray, iters: int = POWER_ITERS, state: SpectralNormState | None = None,
     name: str = "w",
 ) -> np.ndarray:
     """Divide a matrix by its largest singular value (power-iteration estimate).
@@ -93,13 +92,13 @@ def spectral_normalize(
     return weight / max(sigma, SIGMA_FLOOR)
 
 
-def leaky_relu(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    return np.where(x >= 0, x, slope * x)
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, LEAKY_SLOPE * x)
 
 
 def _conv2d(x: np.ndarray, kernel: np.ndarray, bias, stride: tuple) -> np.ndarray:
     """Valid-mode strided 2-D convolution. x: (C_in, H, W); kernel:
-    (C_out, C_in, kh, kw)."""
+    (C_out, C_in, kh, kw). One GEMM over the im2col patch matrix."""
     c_in, H, W = x.shape
     c_out, _, kh, kw = kernel.shape
     sh, sw = stride
@@ -107,58 +106,55 @@ def _conv2d(x: np.ndarray, kernel: np.ndarray, bias, stride: tuple) -> np.ndarra
         raise InputTooShortError(f"input {H}x{W} smaller than kernel {kh}x{kw}")
     view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     view = view[:, ::sh, ::sw]                       # (C_in, Ho, Wo, kh, kw)
-    out = np.einsum("chwij,ocij->ohw", view, kernel, optimize=True)
+    _, Ho, Wo, _, _ = view.shape
+    cols = view.transpose(1, 2, 0, 3, 4).reshape(Ho * Wo, c_in * kh * kw)
+    out = (kernel.reshape(c_out, -1) @ cols.T).reshape(c_out, Ho, Wo)
     if bias is not None:
         out += bias[:, None, None]
     return out
 
 
+def _layer_table(config: DiscriminatorConfig, kernel: tuple) -> list:
+    """(layer name, weight shape) per conv of one branch, in weight-draw
+    order. The last entry is the final projection: stride 1, no activation."""
+    widths = (1,) + tuple(config.channels) + (1,)
+    names = [f"layer{i}" for i in range(len(config.channels))] + ["final"]
+    return [(name, (widths[k + 1], widths[k]) + kernel) for k, name in enumerate(names)]
+
+
 def init_discriminator_weights(config: DiscriminatorConfig, seed: int) -> dict:
     """Seeded uniform +-sqrt(1/fan_in) conv weights, zero biases."""
     rng = np.random.Generator(np.random.Philox(seed))
+    branches = [(f"period{p}", PERIOD_CONV) for p in config.periods] + [
+        (f"stft{n_fft}_{hop}", STFT_CONV) for n_fft, hop in config.stft_resolutions
+    ]
     store: dict[str, np.ndarray] = {}
-
-    def add_stack(branch: str, c_in0: int, kernel: tuple):
-        kh, kw = kernel
-        c_in = c_in0
-        for i, c_out in enumerate(config.channels):
-            shape = (c_out, c_in, kh, kw)
-            bound = np.sqrt(1.0 / (c_in * kh * kw))
-            store[f"{branch}.layer{i}.weight"] = rng.uniform(
+    for branch, (kernel, _) in branches:
+        for name, shape in _layer_table(config, kernel):
+            bound = np.sqrt(1.0 / np.prod(shape[1:]))
+            store[f"{branch}.{name}.weight"] = rng.uniform(
                 -bound, bound, shape
             ).astype(np.float32)
-            store[f"{branch}.layer{i}.bias"] = np.zeros(c_out, dtype=np.float32)
-            c_in = c_out
-        bound = np.sqrt(1.0 / (c_in * kh * kw))
-        store[f"{branch}.final.weight"] = rng.uniform(
-            -bound, bound, (1, c_in, kh, kw)
-        ).astype(np.float32)
-        store[f"{branch}.final.bias"] = np.zeros(1, dtype=np.float32)
-
-    for p in config.periods:
-        add_stack(f"period{p}", 1, config.period_kernel)
-    for n_fft, hop in config.stft_resolutions:
-        add_stack(f"stft{n_fft}_{hop}", 1, config.stft_kernel)
+            store[f"{branch}.{name}.bias"] = np.zeros(shape[0], dtype=np.float32)
     return store
 
 
-def _run_stack(x, branch, weights, config, stride, state):
+def _run_stack(x, branch, conv, weights, config, state) -> BranchOutput:
+    kernel, stride = conv
+    layers = _layer_table(config, kernel)
+    last = len(layers) - 1
     feats = []
-    n = len(config.channels)
-    for i in range(n):
+    for i, (name, _) in enumerate(layers):
+        key = f"{branch}.{name}"
+        # Positional: a tracing wrapper installed on this name keeps `name` for itself.
         w = spectral_normalize(
-            weights[f"{branch}.layer{i}.weight"].astype(np.float64),
-            config.power_iters, state, f"{branch}.layer{i}.weight",
+            weights[f"{key}.weight"].astype(np.float64), POWER_ITERS, state, f"{key}.weight"
         )
-        x = leaky_relu(_conv2d(x, w, weights[f"{branch}.layer{i}.bias"], stride))
+        x = _conv2d(x, w, weights[f"{key}.bias"], stride if i < last else (1, 1))
+        if i < last:
+            x = leaky_relu(x)
         feats.append(x)
-    w = spectral_normalize(
-        weights[f"{branch}.final.weight"].astype(np.float64),
-        config.power_iters, state, f"{branch}.final.weight",
-    )
-    x = _conv2d(x, w, weights[f"{branch}.final.bias"], (1, 1))
-    feats.append(x)
-    return float(x.mean()), feats
+    return BranchOutput(float(x.mean()), feats)
 
 
 def discriminator_forward(
@@ -171,7 +167,7 @@ def discriminator_forward(
     if state is None:
         state = SpectralNormState()
     x = np.asarray(wave.samples, dtype=np.float64)
-    largest = max(max(config.periods) * config.period_kernel[0],
+    largest = max(max(config.periods) * PERIOD_CONV[0][0],
                   max(n for n, _ in config.stft_resolutions))
     if len(x) < largest:
         raise InputTooShortError(
@@ -182,16 +178,12 @@ def discriminator_forward(
     for p in config.periods:
         n = (len(x) // p) * p
         grid = x[:n].reshape(-1, p)[None]            # (1, n/p, p)
-        score, feats = _run_stack(
-            grid, f"period{p}", weights, config, config.period_stride, state
-        )
-        outputs.append(BranchOutput(score, feats))
+        outputs.append(_run_stack(grid, f"period{p}", PERIOD_CONV, weights, config, state))
 
     for n_fft, hop in config.stft_resolutions:
         spec = stft(wave, StftParams(n_fft=n_fft, hop=hop))
         grid = magnitude(spec)[None]
-        score, feats = _run_stack(
-            grid, f"stft{n_fft}_{hop}", weights, config, config.stft_stride, state
+        outputs.append(
+            _run_stack(grid, f"stft{n_fft}_{hop}", STFT_CONV, weights, config, state)
         )
-        outputs.append(BranchOutput(score, feats))
     return outputs

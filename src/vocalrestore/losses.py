@@ -41,7 +41,6 @@ class LossWeights:
     lambda_omni: float = 1.0
     lambda_adv: float = 0.1
     lambda_fm: float = 2.0
-    spec_resolutions: tuple = DEFAULT_SPEC_RESOLUTIONS
 
     def __post_init__(self):
         for name in ("lambda_wav", "lambda_spec", "lambda_omni", "lambda_adv", "lambda_fm"):
@@ -186,7 +185,7 @@ def reconstruction_loss(
         weights = LossWeights()
     report = LossReport()
     report.wav = wav_l1(est, ref)
-    report.spec = multi_res_spec_l1(est, ref, weights.spec_resolutions)
+    report.spec = multi_res_spec_l1(est, ref)
     if est_spec is not None and ref_spec is not None:
         report.omni = omni_phase_loss(est_spec, ref_spec)
     report.recon = (

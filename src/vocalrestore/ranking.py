@@ -112,9 +112,8 @@ def _win_matrix(data: ComparisonSet):
     return systems, W
 
 
-def _connected_components(systems, W):
+def _connected_components(systems, adj):
     n = len(systems)
-    adj = (W + W.T) > 0
     seen = [False] * n
     components = []
     for start in range(n):
@@ -134,16 +133,13 @@ def _connected_components(systems, W):
     return components
 
 
-def fit_bradley_terry(
-    data: ComparisonSet,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> StrengthTable:
+def fit_bradley_terry(data: ComparisonSet) -> StrengthTable:
     """MM fixed-point fit of Bradley-Terry strengths with half-win ties."""
     systems, W = _win_matrix(data)
     if len(systems) < 2:
         raise DegenerateError("need at least two systems")
-    components = _connected_components(systems, W)
+    T = W + W.T
+    components = _connected_components(systems, T > 0)
     if len(components) > 1:
         raise ConnectivityError(components)
 
@@ -157,57 +153,40 @@ def fit_bradley_terry(
             f"systems with zero effective wins or losses: {degenerate}"
         )
 
-    n = len(systems)
-    T = W + W.T
-    p = np.ones(n)
-    for _ in range(max_iter):
-        pair = p[:, None] + p[None, :]
-        active = T > 0
-        denom = np.where(active, T / np.where(active, pair, 1.0), 0.0).sum(axis=1)
+    p = np.ones(len(systems))
+    for _ in range(DEFAULT_MAX_ITER):
+        # Strengths stay positive, so T / (p_i + p_j) is 0 off the comparison graph.
+        denom = (T / (p[:, None] + p[None, :])).sum(axis=1)
         p_new = wins / denom
         p_new /= np.exp(np.mean(np.log(p_new)))   # geometric mean 1
-        if np.max(np.abs(p_new - p) / p) < tol:
+        if np.max(np.abs(p_new - p) / p) < DEFAULT_TOL:
             p = p_new
             break
         p = p_new
     return StrengthTable({s: float(v) for s, v in zip(systems, p)})
 
 
-def elo_scores(
-    table: StrengthTable, anchor: float = ELO_ANCHOR, scale: float = ELO_SCALE
-) -> StrengthTable:
-    """elo = anchor + scale * ln(pi); default scale gives 400 points per
-    10x strength ratio."""
+def elo_scores(table: StrengthTable) -> StrengthTable:
+    """elo = ELO_ANCHOR + ELO_SCALE * ln(pi): 400 points per 10x strength
+    ratio."""
     table.elo = {
-        s: float(anchor + scale * np.log(v)) for s, v in table.strengths.items()
+        s: float(ELO_ANCHOR + ELO_SCALE * np.log(v)) for s, v in table.strengths.items()
     }
     return table
-
-
-def _pair_rates(data: ComparisonSet):
-    totals: dict[tuple, float] = {}
-    wins: dict[tuple, float] = {}
-    for r in data.records:
-        key = tuple(sorted((r.system_a, r.system_b)))
-        first_is_a = key[0] == r.system_a
-        w = {"a": 1.0 if first_is_a else 0.0,
-             "b": 0.0 if first_is_a else 1.0,
-             "tie": 0.5}[r.outcome]
-        totals[key] = totals.get(key, 0.0) + 1.0
-        wins[key] = wins.get(key, 0.0) + w
-    return {k: wins[k] / totals[k] for k in totals}
 
 
 def goodness_of_fit(table: StrengthTable, data: ComparisonSet):
     """(R^2, MAE, RMSE) between observed per-pair win rates (ties half) and
     model-predicted probabilities."""
-    rates = _pair_rates(data)
-    if len(rates) < 2:
+    systems, W = _win_matrix(data)
+    T = W + W.T
+    i, j = np.nonzero(np.triu(T))
+    if len(i) < 2:
         raise InsufficientDataError(
-            f"R^2 needs >= 2 distinct pairs, got {len(rates)}"
+            f"R^2 needs >= 2 distinct pairs, got {len(i)}"
         )
-    observed = np.array(list(rates.values()))
-    predicted = np.array([table.predict(a, b) for a, b in rates])
+    observed = W[i, j] / T[i, j]
+    predicted = np.array([table.predict(systems[a], systems[b]) for a, b in zip(i, j)])
     resid = observed - predicted
     ss_res = float(np.sum(resid ** 2))
     ss_tot = float(np.sum((observed - observed.mean()) ** 2))

@@ -42,6 +42,25 @@ def matmul_per_position(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarr
     return out
 
 
+def conv2d_loops(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride) -> np.ndarray:
+    """Nested-loop valid-mode strided 2-D correlation. x: (C_in, H, W);
+    kernel: (C_out, C_in, kh, kw)."""
+    c_in, H, W = x.shape
+    c_out, _, kh, kw = kernel.shape
+    sh, sw = stride
+    out = np.zeros((c_out, (H - kh) // sh + 1, (W - kw) // sw + 1))
+    for o in range(c_out):
+        for r in range(out.shape[1]):
+            for c in range(out.shape[2]):
+                acc = bias[o]
+                for i in range(c_in):
+                    for a in range(kh):
+                        for b in range(kw):
+                            acc += kernel[o, i, a, b] * x[i, r * sh + a, c * sw + b]
+                out[o, r, c] = acc
+    return out
+
+
 def depthwise_conv_loops(x: np.ndarray, kernels: np.ndarray, dilation: int) -> np.ndarray:
     """Nested-loop dilated depthwise correlation with zero padding."""
     C, T = x.shape

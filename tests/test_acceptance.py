@@ -304,9 +304,7 @@ def test_criterion_9_benchmark():
     with _Gate(9, "benchmark harness"):
         cfg = ModelConfig()          # n_fft=4096, n_band=64, N=128, L=6
         weights = init_weights(cfg, seed=0)
-        report = run_bench(
-            weights, cfg, seconds=10.0, runs=30, warmup=2, threads=4
-        )
+        report = run_bench(weights, cfg, seconds=10.0, runs=30, warmup=2)
         payload = json.loads(report.to_json())
         assert set(payload) == {
             "runs", "median_s", "p90_s", "mean_s", "audio_s", "rtf", "threads",

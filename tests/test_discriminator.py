@@ -3,14 +3,19 @@ import pytest
 
 from vocalrestore.audio_io import Waveform
 from vocalrestore.discriminator import (
+    PERIOD_CONV,
+    STFT_CONV,
     DiscriminatorConfig,
     SpectralNormState,
+    _conv2d,
     discriminator_forward,
     init_discriminator_weights,
     leaky_relu,
     spectral_normalize,
 )
 from vocalrestore.errors import InputTooShortError, ShapeError
+
+from oracles import conv2d_loops
 
 
 SMALL = DiscriminatorConfig(
@@ -82,6 +87,28 @@ def test_spectral_norm_errors():
 def test_leaky_relu():
     x = np.array([-2.0, 0.0, 3.0])
     assert np.allclose(leaky_relu(x), [-0.2, 0.0, 3.0])
+
+
+@pytest.mark.parametrize("kernel, stride", [
+    PERIOD_CONV,
+    STFT_CONV,
+    (PERIOD_CONV[0], (1, 1)),      # final projections
+    (STFT_CONV[0], (1, 1)),
+])
+def test_conv2d_matches_loop_oracle(kernel, stride):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((3, 17, 11))
+    w = rng.standard_normal((4, 3) + kernel)
+    bias = rng.standard_normal(4)
+    got = _conv2d(x, w, bias, stride)
+    want = conv2d_loops(x, w, bias, stride)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_conv2d_input_smaller_than_kernel():
+    with pytest.raises(InputTooShortError):
+        _conv2d(np.zeros((2, 2, 9)), np.zeros((1, 2, 3, 3)), None, (1, 1))
 
 
 def test_forward_structure():

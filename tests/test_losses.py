@@ -38,7 +38,7 @@ def test_default_weights():
     w = LossWeights()
     assert (w.lambda_wav, w.lambda_spec, w.lambda_omni) == (1.0, 1.0, 1.0)
     assert (w.lambda_adv, w.lambda_fm) == (0.1, 2.0)
-    assert tuple((p.n_fft, p.hop) for p in w.spec_resolutions) == (
+    assert tuple((p.n_fft, p.hop) for p in DEFAULT_SPEC_RESOLUTIONS) == (
         (2048, 512), (1024, 256), (512, 128),
     )
     with pytest.raises(ShapeError):

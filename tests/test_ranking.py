@@ -12,6 +12,7 @@ from vocalrestore.errors import (
 from vocalrestore.ranking import (
     Comparison,
     ComparisonSet,
+    StrengthTable,
     category_split,
     elo_scores,
     fit_bradley_terry,
@@ -187,6 +188,27 @@ def test_goodness_of_fit_perfect_on_model_data():
     assert mae < 0.05 and rmse < 0.05
     with pytest.raises(InsufficientDataError):
         goodness_of_fit(table, ComparisonSet([Comparison("a", "b", "a")]))
+
+
+def test_goodness_of_fit_matches_hand_rates():
+    """Per-pair rates from records in both orientations, ties counted half,
+    against a fixed strength table."""
+    rows = [
+        ("a", "b", "a"), ("b", "a", "tie"), ("b", "a", "a"),                  # a: 1.5 of 3
+        ("a", "c", "a"), ("c", "a", "b"), ("a", "c", "tie"), ("c", "a", "a"),  # a: 2.5 of 4
+        ("b", "c", "a"), ("b", "c", "a"), ("c", "b", "tie"),                  # b: 2.5 of 3
+    ]
+    data = ComparisonSet([Comparison(*row) for row in rows])
+    table = StrengthTable({"a": 2.0, "b": 1.0, "c": 0.5})
+    observed = [1.5 / 3, 2.5 / 4, 2.5 / 3]
+    predicted = [2.0 / 3.0, 2.0 / 2.5, 1.0 / 1.5]
+    resid = [o - p for o, p in zip(observed, predicted)]
+    mean = sum(observed) / 3
+    r2 = 1.0 - sum(r * r for r in resid) / sum((o - mean) ** 2 for o in observed)
+    mae = sum(abs(r) for r in resid) / 3
+    rmse = (sum(r * r for r in resid) / 3) ** 0.5
+    got = goodness_of_fit(table, data)
+    assert np.allclose(got, (r2, mae, rmse), rtol=0, atol=1e-12)
 
 
 def test_rank_report_structure():

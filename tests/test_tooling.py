@@ -41,6 +41,10 @@ def test_tracer_install_uninstall(monkeypatch):
         generator.restore(x, generator.init_weights(cfg, 0), cfg)
         _, trace = degrade.apply_chain(x, degrade.DegradationSpec.default(seed=0, prob=1.0))
         degrade.replay_trace(x, trace)
+        dcfg = discriminator.DiscriminatorConfig(
+            periods=(2, 3), stft_resolutions=((256, 64),), channels=(4,)
+        )
+        discriminator.discriminator_forward(x, discriminator.init_discriminator_weights(dcfg, 0), dcfg)
     finally:
         tracer.uninstall()
     assert all(a is b for a, b in zip(bound(), before))
@@ -56,6 +60,8 @@ def test_tracer_install_uninstall(monkeypatch):
     assert calls["nncore.rmsnorm"] == 2 * cfg.n_band + cfg.L * (2 + per_layer)
     for stage in degrade.STAGE_ORDER:     # once in the chain, once in the replay
         assert calls.get(f"degrade.{stage}", 0) == 2, stage
+    # one spectral norm per conv: every layer plus the final projection
+    assert calls["discriminator.spectral_normalize"] == dcfg.branch_count * (len(dcfg.channels) + 1)
 
 
 def test_tracer_sees_every_tile(monkeypatch):
