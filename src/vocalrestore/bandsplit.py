@@ -1,8 +1,11 @@
-"""Mel-spaced frequency partition, per-band power envelopes, feature packing.
+"""Mel-spaced frequency partition, per-band power envelopes, and the
+interleaved re/im row format in both directions.
 
-Each band of width bw contributes 2*bw + 1 input channels per frame:
-envelope-normalized real/imaginary values interleaved bin-major
-(re0, im0, re1, im1, ...) followed by the log-envelope row.
+pack_band_features gives each band of width bw 2*bw + 1 input channels per
+frame: envelope-normalized real/imaginary values interleaved bin-major
+(re0, im0, re1, im1, ...) followed by the log-envelope row. reassemble is
+its inverse for the synthesis heads' output: per-band (2*bw, T) rows in the
+same re/im order back to complex bins.
 """
 
 from __future__ import annotations
@@ -142,15 +145,16 @@ def pack_band_features(
     return packed
 
 
-def reassemble(band_outputs: list[np.ndarray], layout: BandLayout) -> np.ndarray:
-    """Concatenate per-band (bw_i, T_s, 2) grids back to a full (F, T_s, 2) grid."""
-    if len(band_outputs) != layout.n_band:
+def reassemble(band_rows: list[np.ndarray], layout: BandLayout) -> np.ndarray:
+    """Per-band (2*bw_i, T_s) rows interleaved (re0, im0, re1, im1, ...), as
+    pack_band_features orders them, back to complex128 (F, T_s) bins."""
+    if len(band_rows) != layout.n_band:
         raise LayoutError(
-            f"got {len(band_outputs)} band outputs for {layout.n_band} bands"
+            f"got {len(band_rows)} band outputs for {layout.n_band} bands"
         )
-    for i, (out, w) in enumerate(zip(band_outputs, layout.widths)):
-        if out.ndim != 3 or out.shape[0] != w or out.shape[2] != 2:
-            raise LayoutError(
-                f"band {i}: expected shape ({w}, T_s, 2), got {out.shape}"
-            )
-    return np.concatenate(band_outputs, axis=0)
+    T = band_rows[0].shape[-1]
+    for i, (rows, w) in enumerate(zip(band_rows, layout.widths)):
+        if rows.shape != (2 * w, T):
+            raise LayoutError(f"band {i}: expected shape ({2 * w}, {T}), got {rows.shape}")
+    rows = np.concatenate(band_rows, axis=0).astype(np.float64)
+    return rows[0::2] + 1j * rows[1::2]

@@ -68,8 +68,6 @@ def reverb(wave: Waveform, rt60: float, wet: float, seed: int) -> Waveform:
     """Convolve with a synthetic impulse response: unit direct tap plus
     seeded white noise under an exponential decay reaching -60 dB at rt60."""
     _check_bounds("reverb", rt60=rt60, wet=wet)
-    if wet == 0.0:
-        return Waveform(wave.samples.copy(), wave.sample_rate)
     sr = wave.sample_rate
     ir_len = min(int(rt60 * 1.5 * sr) + 1, max(len(wave), 1))
     t = np.arange(ir_len) / sr
@@ -142,17 +140,16 @@ def spectral_corrupt(
     mask_fraction: float,
     phase_noise_std: float,
     seed: int,
-    n_fft: int | None = None,
-    hop: int | None = None,
+    n_fft: int,
+    hop: int,
 ) -> Waveform:
     """Zero a random subset of magnitude bins and jitter phases, analyzed and
-    resynthesized at a randomly sampled STFT grid (window in {512,1024,2048},
-    hop in {256,512,1024}, restricted to hop <= window/2 so resynthesis stays
-    invertible under the Hann window)."""
+    resynthesized at the STFT grid n_fft/hop, which the chain draws with
+    _corrupt_grid (window in {512,1024,2048}, hop in {256,512,1024},
+    restricted to hop <= window/2 so resynthesis stays invertible under the
+    Hann window)."""
     _check_bounds("spectral_corrupt", mask_fraction=mask_fraction, phase_noise_std=phase_noise_std)
     rng = _rng(seed)
-    if n_fft is None or hop is None:
-        n_fft, hop = _corrupt_grid(rng)
     params = StftParams(n_fft=n_fft, hop=hop)
     spec = stft(wave, params)
     mag = np.abs(spec.bins)

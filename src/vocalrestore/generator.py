@@ -32,7 +32,7 @@ WEIGHT_MAGIC = b"SRSW0001"
 LAYER_SCALE_INIT = 1e-6
 CONVNEXT_BLOCKS_PER_LAYER = 3  # dilations {1, d, 1}
 # Core frames per restore() tile: with both R = 50 halos a tile spans 700
-# frames, within one 30 s pass (704), so memory is bounded for any length.
+# frames, so memory is bounded for any length.
 TILE_FRAMES = 600
 
 
@@ -54,10 +54,11 @@ class ModelConfig:
         F = self.n_fft // 2 + 1
         if not (1 <= self.n_band <= F):
             raise ShapeError(f"need 1 <= n_band <= F={F}, got {self.n_band}")
+        if min(self.N, self.heads, self.L, self.dilation_cap) < 1:
+            raise ShapeError(f"N, heads, L and dilation_cap must be >= 1, got "
+                             f"{self.N}, {self.heads}, {self.L}, {self.dilation_cap}")
         if self.N % self.heads:
             raise ShapeError(f"N={self.N} not divisible by heads={self.heads}")
-        if self.L < 1 or self.dilation_cap < 1:
-            raise ShapeError("L and dilation_cap must be >= 1")
 
     @property
     def F(self) -> int:
@@ -84,10 +85,10 @@ class ModelConfig:
             key, value = key.strip(), value.strip()
             if key not in cls.__dataclass_fields__:
                 raise FormatError(f"unknown config key {key!r}")
-            if key == "eps":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = int(value)
+            try:
+                kwargs[key] = float(value) if key == "eps" else int(value)
+            except ValueError as exc:
+                raise FormatError(f"config key {key!r}: bad value {value!r}") from exc
         return cls(**kwargs)
 
 
@@ -205,19 +206,28 @@ def load_weights(path) -> dict:
         magic = fh.read(8)
         if magic != WEIGHT_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
-        (mlen,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(4)
+        if len(header) != 4:
+            raise FormatError(f"{path}: file ends before the manifest length")
+        (mlen,) = struct.unpack("<I", header)
         try:
             entries = json.loads(fh.read(mlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: corrupt manifest: {exc}") from exc
         payload = fh.read()
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: manifest is a JSON {type(entries).__name__}, not a list")
     store = {}
     for e in entries:
-        n = int(np.prod(e["shape"])) if e["shape"] else 1
-        raw = payload[e["offset"]:e["offset"] + 4 * n]
+        try:
+            name, shape, offset = e["name"], tuple(int(n) for n in e["shape"]), int(e["offset"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: malformed manifest entry {e!r}: {exc!r}") from exc
+        n = int(np.prod(shape))
+        raw = payload[offset:offset + 4 * n]
         if len(raw) != 4 * n:
-            raise ManifestError(f"{path}: truncated payload for {e['name']}")
-        store[e["name"]] = np.frombuffer(raw, dtype="<f4").reshape(e["shape"]).copy()
+            raise ManifestError(f"{path}: truncated payload for {name}")
+        store[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     return store
 
 
@@ -244,7 +254,8 @@ def stem(packed: list[np.ndarray], weights: dict, config: ModelConfig) -> np.nda
 
 
 def _attention_path(H: np.ndarray, weights: dict, config: ModelConfig, prefix: str):
-    """Cross-band attention + SwiGLU feedforward, each with its own residual.
+    """Cross-band attention + SwiGLU feedforward: returns the attention
+    output plus the feedforward output, which reads rmsnorm(H + attention).
 
     H: (N, n_band, T). Attention runs along the band axis independently per
     frame; RoPE on queries/keys is keyed by band index.
@@ -267,19 +278,18 @@ def _attention_path(H: np.ndarray, weights: dict, config: ModelConfig, prefix: s
     out = attention_core(q, k, v)                       # (T, heads, nb, d)
     out = out.transpose(1, 3, 2, 0).reshape(N, nb, T)
     out = pointwise_conv(out, w[f"{prefix}.attn.out.weight"], w[f"{prefix}.attn.out.bias"])
-    A = H + out
 
-    x = rmsnorm(A, w[f"{prefix}.ffn.norm.gain"])
+    x = rmsnorm(H + out, w[f"{prefix}.ffn.norm.gain"])
     hidden = silu(
         pointwise_conv(x, w[f"{prefix}.ffn.w_gate.weight"], w[f"{prefix}.ffn.w_gate.bias"])
     ) * pointwise_conv(x, w[f"{prefix}.ffn.w_in.weight"], w[f"{prefix}.ffn.w_in.bias"])
-    A = A + pointwise_conv(hidden, w[f"{prefix}.ffn.w_out.weight"], w[f"{prefix}.ffn.w_out.bias"])
-    return A - H
+    out += pointwise_conv(hidden, w[f"{prefix}.ffn.w_out.weight"], w[f"{prefix}.ffn.w_out.bias"])
+    return out
 
 
 def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: int):
     """Stack of dilated depthwise ConvNeXT blocks over time, weights shared
-    across bands; returns the delta added to the long residual."""
+    across bands; returns H after their three residual updates."""
     x = H
     w = weights
     for j, dil in enumerate(config.dilations(layer_index)):
@@ -291,25 +301,26 @@ def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: in
         u = glu(u)
         u = pointwise_conv(u, w[f"{q}.pw2.weight"], w[f"{q}.pw2.bias"])
         x = x + u * w[f"{q}.gamma"][:, None, None]
-    return x - H
+    return x
 
 
 def band_sequence_block(
     H: np.ndarray, weights: dict, config: ModelConfig, layer_index: int
 ) -> np.ndarray:
     """One band-sequence block: cross-band attention pathway plus within-band
-    temporal pathway, both read from the block input H: (N, n_band, T) and
-    summed onto it via a long residual."""
+    temporal pathway, both read from the block input H: (N, n_band, T). The
+    temporal stream carries H; the attention pathway's output adds onto it."""
     if H.shape[:2] != (config.N, config.n_band):
         raise ShapeError(f"expected ({config.N}, {config.n_band}, T), got {H.shape}")
     prefix = f"block{layer_index}"
-    attn_delta = _attention_path(H, weights, config, prefix)
-    return H + attn_delta + _temporal_path(H, weights, config, prefix, layer_index)
+    # attention first: the temporal path, which peaks lower, holds its output
+    attention = _attention_path(H, weights, config, prefix)
+    return _temporal_path(H, weights, config, prefix, layer_index) + attention
 
 
 def synthesis_head(H_i: np.ndarray, weights: dict, band_index: int, bw: int):
     """RMSNorm -> 1x1 conv -> SiLU -> 1x1 conv -> GLU on one band's (N, T)
-    slice, reshaped to (bw, T, 2)."""
+    slice: (2*bw, T) rows in the re/im order that reassemble reads."""
     p = f"head.band{band_index}"
     x = rmsnorm(H_i, weights[f"{p}.norm.gain"])
     x = pointwise_conv(x, weights[f"{p}.conv1.weight"], weights[f"{p}.conv1.bias"])
@@ -317,9 +328,7 @@ def synthesis_head(H_i: np.ndarray, weights: dict, band_index: int, bw: int):
     x = pointwise_conv(x, weights[f"{p}.conv2.weight"], weights[f"{p}.conv2.bias"])
     if x.shape[0] != 4 * bw:
         raise ShapeError(f"head {band_index}: pre-GLU channels {x.shape[0]} != {4 * bw}")
-    x = glu(x)                               # (2*bw, T)
-    T = x.shape[1]
-    return x.reshape(bw, 2, T).transpose(0, 2, 1)
+    return glu(x)
 
 
 def generator_forward(
@@ -336,11 +345,8 @@ def generator_forward(
     for layer in range(config.L):
         H = band_sequence_block(H, w32, config, layer)
 
-    outputs = [
-        synthesis_head(H[:, i], w32, i, bw) for i, bw in enumerate(layout.widths)
-    ]
-    grid = reassemble(outputs, layout).astype(np.float64)
-    return ComplexSpectrogram(grid[..., 0] + 1j * grid[..., 1], X.params)
+    rows = [synthesis_head(H[:, i], w32, i, bw) for i, bw in enumerate(layout.widths)]
+    return ComplexSpectrogram(reassemble(rows, layout), X.params)
 
 
 def receptive_field(config: ModelConfig) -> int:

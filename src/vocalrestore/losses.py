@@ -174,20 +174,15 @@ def feature_matching(real_feats, fake_feats) -> float:
 
 
 def reconstruction_loss(
-    est: Waveform,
-    ref: Waveform,
-    est_spec: ComplexSpectrogram | None = None,
-    ref_spec: ComplexSpectrogram | None = None,
-    weights: LossWeights | None = None,
+    est: Waveform, ref: Waveform, est_spec: ComplexSpectrogram, ref_spec: ComplexSpectrogram
 ) -> LossReport:
-    """Composite reconstruction loss; omni term requires both spectrograms."""
-    if weights is None:
-        weights = LossWeights()
+    """Composite reconstruction loss at the default LossWeights; the omni
+    term reads the two spectrograms."""
+    weights = LossWeights()
     report = LossReport()
     report.wav = wav_l1(est, ref)
     report.spec = multi_res_spec_l1(est, ref)
-    if est_spec is not None and ref_spec is not None:
-        report.omni = omni_phase_loss(est_spec, ref_spec)
+    report.omni = omni_phase_loss(est_spec, ref_spec)
     report.recon = (
         weights.lambda_wav * report.wav
         + weights.lambda_spec * report.spec

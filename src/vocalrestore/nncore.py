@@ -45,7 +45,7 @@ def rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     return x / np.sqrt(ms + RMSNORM_DELTA) * gain.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
-def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
+def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """1x1 convolution as one GEMM: per-position affine map
     (C_in, ..., T) -> (C_out, ..., T)."""
     if x.shape[0] != weights.shape[1]:
@@ -53,8 +53,7 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
             f"input channels {x.shape[0]} != weight columns {weights.shape[1]}"
         )
     out = (weights @ x.reshape(x.shape[0], -1)).reshape((weights.shape[0],) + x.shape[1:])
-    if bias is not None:
-        out += np.asarray(bias).reshape((-1,) + (1,) * (x.ndim - 1))
+    out += np.asarray(bias).reshape((-1,) + (1,) * (x.ndim - 1))
     return out
 
 

@@ -74,15 +74,9 @@ class ComplexSpectrogram:
     def n_frames(self) -> int:
         return self.bins.shape[1]
 
-    def as_real(self) -> np.ndarray:
-        """(F, T_s, 2) view with real and imaginary parts split out."""
-        return np.stack([self.bins.real, self.bins.imag], axis=-1)
 
-
-def stft(wave: Waveform, params: StftParams | None = None) -> ComplexSpectrogram:
+def stft(wave: Waveform, params: StftParams) -> ComplexSpectrogram:
     """Windowed framewise real FFT of a mono waveform."""
-    if params is None:
-        params = StftParams()
     x = np.asarray(wave.samples, dtype=np.float64)
     if len(x) < 1:
         raise EmptyInputError("cannot transform an empty waveform")

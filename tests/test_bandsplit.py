@@ -117,18 +117,27 @@ def test_packed_features():
 
 
 def test_reassemble_round_trip():
+    """reassemble inverts pack_band_features' re/im interleave: the packed
+    rows without the envelope row, times the envelope, give the bins back."""
     spec = _toy_spec(seed=9)
     layout = mel_band_layout(129, 8, 16000)
-    parts = [spec.as_real()[sl] for sl in layout.slices()]
-    grid = reassemble(parts, layout)
-    assert np.array_equal(grid, spec.as_real())
+    env = band_envelope(spec, layout, eps=1e-8)
+    rows = [feats[:-1] * p for feats, p in
+            zip(pack_band_features(spec, layout, eps=1e-8), env.values)]
+    bins = reassemble(rows, layout)
+    assert bins.dtype == np.complex128
+    assert np.max(np.abs(bins - spec.bins)) <= 1e-12
 
 
 def test_reassemble_shape_errors():
     layout = BandLayout((2, 3), 5)
-    good = [np.zeros((2, 4, 2)), np.zeros((3, 4, 2))]
-    assert reassemble(good, layout).shape == (5, 4, 2)
+    good = [np.zeros((4, 7)), np.zeros((6, 7))]
+    assert reassemble(good, layout).shape == (5, 7)
     with pytest.raises(LayoutError):
         reassemble(good[:1], layout)
     with pytest.raises(LayoutError):
-        reassemble([np.zeros((3, 4, 2)), np.zeros((2, 4, 2))], layout)
+        reassemble([np.zeros((6, 7)), np.zeros((4, 7))], layout)
+    with pytest.raises(LayoutError):
+        reassemble([np.zeros((4, 7)), np.zeros((6, 8))], layout)
+    with pytest.raises(LayoutError):
+        reassemble([np.zeros((2, 2, 7)), np.zeros((6, 7))], layout)

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -244,3 +245,34 @@ def test_corrupt_weights_exit_code(model_files, tmp_path):
     code = main(["restore", "--in", inp, "--out", str(tmp_path / "o.wav"),
                  "--weights", str(bad), "--config", cpath])
     assert code == 1
+
+
+def _weights_bytes(manifest) -> bytes:
+    text = json.dumps(manifest).encode()
+    return generator.WEIGHT_MAGIC + struct.pack("<I", len(text)) + text + bytes(16)
+
+
+@pytest.mark.parametrize("weights, heads, cause", [
+    (generator.WEIGHT_MAGIC, "2", "ends before the manifest length"),
+    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32"}]), "2", "KeyError('offset')"),
+    (_weights_bytes({"a": {"shape": [2], "offset": 0}}), "2", "manifest is a JSON dict"),
+    (None, "0", "heads"),
+    (None, "two", "config key 'heads'"),
+], ids=["ends_after_magic", "entry_without_offset", "manifest_object", "heads_0", "heads_two"])
+def test_malformed_model_files(model_files, tmp_path, capsys, weights, heads, cause):
+    """A malformed weights file or config exits 1 with `error: <cause>`, not a
+    traceback."""
+    wpath, cpath, cfg = model_files
+    if weights is not None:
+        wpath = tmp_path / "bad.bin"
+        wpath.write_bytes(weights)
+    cpath = tmp_path / "bad.cfg"
+    cpath.write_text(cfg.to_text().replace(f"heads = {cfg.heads}\n", f"heads = {heads}\n"))
+    inp = str(tmp_path / "in.wav")
+    _write_noise(inp, sr=cfg.sample_rate)
+    code = main(["restore", "--in", inp, "--out", str(tmp_path / "o.wav"),
+                 "--weights", str(wpath), "--config", str(cpath)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and cause in err, err
+    assert "Traceback" not in err

@@ -170,26 +170,32 @@ def test_add_noise_silent_inputs():
 
 
 def test_spectral_corrupt_identity_when_disabled():
-    """Zero mask fraction and zero phase noise leave the signal unchanged
-    (the sampled STFT grid is invertible)."""
+    """Zero mask fraction and zero phase noise leave the signal unchanged on
+    every grid the chain can draw (each is invertible)."""
     x = _wave(seed=8)
-    out = spectral_corrupt(x, 0.0, 0.0, seed=5)
-    assert np.max(np.abs(out.samples - x.samples)) < 1e-9
-
-
-def test_spectral_corrupt_grid_constraint():
-    """Sampled grids always satisfy 2*hop <= window over many seeds."""
-    x = _wave(6000, seed=9)
-    rng_seen = set()
-    for seed in range(40):
-        out = spectral_corrupt(x, 0.1, 0.1, seed=seed)
-        assert len(out) == len(x) and np.all(np.isfinite(out.samples))
-    # the explicit grid arguments accept exactly the documented sets
     for n_fft in CORRUPT_WINDOWS:
         for hop in CORRUPT_HOPS:
             if 2 * hop <= n_fft:
-                rng_seen.add((n_fft, hop))
-    assert len(rng_seen) == 6
+                out = spectral_corrupt(x, 0.0, 0.0, seed=5, n_fft=n_fft, hop=hop)
+                assert np.max(np.abs(out.samples - x.samples)) < 1e-9
+
+
+def test_spectral_corrupt_grid_constraint():
+    """The grids apply_chain traces satisfy 2*hop <= window, and over 60
+    seeds every one of the six allowed (window, hop) pairs is drawn."""
+    x = _wave(6000, seed=9)
+    stage = StageConfig("spectral_corrupt", 1.0, {"mask_fraction": (0.1, 0.1),
+                                                  "phase_noise_std": (0.1, 0.1)})
+    seen = set()
+    for seed in range(60):
+        out, trace = apply_chain(x, DegradationSpec((stage,), seed))
+        assert len(out) == len(x) and np.all(np.isfinite(out.samples))
+        (entry,) = trace.entries
+        grid = (entry["params"]["n_fft"], entry["params"]["hop"])
+        assert grid[0] in CORRUPT_WINDOWS and grid[1] in CORRUPT_HOPS
+        assert 2 * grid[1] <= grid[0], grid
+        seen.add(grid)
+    assert len(seen) == 6, seen
 
 
 def test_spectral_corrupt_mask_removes_energy():
@@ -198,7 +204,7 @@ def test_spectral_corrupt_mask_removes_energy():
     light = spectral_corrupt(x, 0.05, 0.0, seed=1, n_fft=1024, hop=256)
     assert np.mean(heavy.samples**2) < np.mean(light.samples**2)
     with pytest.raises(ConfigError):
-        spectral_corrupt(x, 1.5, 0.0, seed=0)
+        spectral_corrupt(x, 1.5, 0.0, seed=0, n_fft=1024, hop=256)
 
 
 def test_time_varying_gain_bounds_and_smoothness():

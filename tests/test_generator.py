@@ -372,11 +372,10 @@ def test_forward_matches_float64_reference():
     H = stem(pack_band_features(X, layout, cfg.eps), w64, cfg)   # float64 features
     for layer in range(cfg.L):
         H = band_sequence_block(H, w64, cfg, layer)
-    grid = reassemble(
+    assert H.dtype == np.float64
+    ref = reassemble(
         [synthesis_head(H[:, i], w64, i, bw) for i, bw in enumerate(layout.widths)], layout
     )
-    assert grid.dtype == np.float64
-    ref = grid[..., 0] + 1j * grid[..., 1]
     rms = np.sqrt(np.mean(np.abs(ref) ** 2))
     assert np.max(np.abs(out - ref)) <= 1e-5 * rms
 

@@ -73,7 +73,7 @@ def test_pointwise_conv_oracle():
     b = _rng(6).standard_normal(7)
     assert np.max(np.abs(pointwise_conv(x, w, b) - matmul_per_position(x, w, b))) < 1e-12
     with pytest.raises(ShapeError):
-        pointwise_conv(x, np.zeros((7, 6)))
+        pointwise_conv(x, np.zeros((7, 6)), np.zeros(7))
     # (C_in, bands, T): the same map applied to every band
     x3 = _rng(7).standard_normal((5, 3, 9))
     out3 = pointwise_conv(x3, w, b)
@@ -81,7 +81,7 @@ def test_pointwise_conv_oracle():
     for i in range(3):
         assert np.max(np.abs(out3[:, i] - matmul_per_position(x3[:, i], w, b))) < 1e-12
     with pytest.raises(ShapeError):
-        pointwise_conv(x3, np.zeros((7, 6)))
+        pointwise_conv(x3, np.zeros((7, 6)), np.zeros(7))
 
 
 @pytest.mark.parametrize("dilation", [1, 2, 4, 8])

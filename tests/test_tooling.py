@@ -50,7 +50,11 @@ def test_tracer_install_uninstall(monkeypatch):
     assert all(a is b for a, b in zip(bound(), before))
 
     calls = {name: agg["calls"] for name, agg in tracer.layer_totals()[0].items()}
+    assert calls["generator.forward"] == 1
     assert calls["generator.block"] == cfg.L
+    # one synthesis head per band, and one reassemble of their rows per forward
+    assert calls["generator.head"] == cfg.n_band
+    assert calls["bandsplit.reassemble"] == 1
     for kernel in ("attention_core", "depthwise_conv1d", "glu", "silu"):
         assert calls.get(f"nncore.{kernel}", 0) > 0, kernel
     # stem and heads per band; per block 4 attention + 3 FFN projections and
