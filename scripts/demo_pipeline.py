@@ -14,7 +14,7 @@ from vocalrestore.audio_io import Waveform
 from vocalrestore.degrade import DegradationSpec, apply_chain
 from vocalrestore.generator import init_weights, restore, toy_config
 from vocalrestore.losses import reconstruction_loss
-from vocalrestore.spectral import StftParams, stft
+from vocalrestore.spectral import stft
 
 
 def main() -> None:
@@ -38,7 +38,7 @@ def main() -> None:
     weights = init_weights(config, seed=args.seed)
     restored = restore(degraded, weights, config)
 
-    params = StftParams(n_fft=config.n_fft, hop=config.hop)
+    params = config.stft_params
     for name, wave in (("degraded", degraded), ("restored", restored)):
         report = reconstruction_loss(
             wave, clean, stft(wave, params), stft(clean, params)

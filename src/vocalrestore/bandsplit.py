@@ -17,8 +17,6 @@ import numpy as np
 from .errors import LayoutError
 from .spectral import ComplexSpectrogram
 
-DEFAULT_EPS = 1e-8
-
 
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -100,18 +98,8 @@ def mel_band_layout(F: int, n_band: int, sample_rate: int) -> BandLayout:
     return BandLayout(tuple(widths.tolist()), F)
 
 
-@dataclass(frozen=True)
-class BandEnvelope:
-    """Per-band per-frame power envelope, shape (n_band, T_s), all >= sqrt(eps)."""
-
-    values: np.ndarray
-    eps: float
-
-
-def band_envelope(
-    spec: ComplexSpectrogram, layout: BandLayout, eps: float = DEFAULT_EPS
-) -> BandEnvelope:
-    """p_i(t) = sqrt(sum over band bins of re^2 + im^2 + eps)."""
+def band_envelope(spec: ComplexSpectrogram, layout: BandLayout, eps: float) -> np.ndarray:
+    """(n_band, T_s) power envelope p_i(t) = sqrt(sum over band bins of re^2 + im^2 + eps)."""
     if layout.F != spec.bins.shape[0]:
         raise LayoutError(
             f"layout covers {layout.F} bins, spectrogram has {spec.bins.shape[0]}"
@@ -122,18 +110,18 @@ def band_envelope(
     values = np.empty((layout.n_band, spec.n_frames))
     for i, sl in enumerate(layout.slices()):
         values[i] = np.sqrt(power[sl].sum(axis=0) + eps)
-    return BandEnvelope(values, eps)
+    return values
 
 
 def pack_band_features(
-    spec: ComplexSpectrogram, layout: BandLayout, eps: float = DEFAULT_EPS
+    spec: ComplexSpectrogram, layout: BandLayout, eps: float
 ) -> list[np.ndarray]:
     """Per band: (2*bw_i + 1, T_s) array of normalized re/im plus log-envelope."""
     env = band_envelope(spec, layout, eps)
     packed = []
     for i, sl in enumerate(layout.slices()):
         band = spec.bins[sl]
-        p = env.values[i]
+        p = env[i]
         with np.errstate(divide="ignore"):
             norm = band / p  # broadcast over bins
         bw = band.shape[0]

@@ -65,29 +65,23 @@ class SpectralNormState:
         return out
 
 
-def spectral_normalize(
-    weight: np.ndarray, iters: int = POWER_ITERS, state: SpectralNormState | None = None,
-    name: str = "w",
-) -> np.ndarray:
-    """Divide a matrix by its largest singular value (power-iteration estimate).
+def spectral_normalize(weight: np.ndarray, state: SpectralNormState, name: str) -> np.ndarray:
+    """Divide a matrix by its largest singular value, estimated by POWER_ITERS
+    power iterations warm-started from the vector `state` holds for `name`.
 
     Higher-rank tensors are normalized via their (out_channels, -1) matricization.
     """
-    if iters < 1:
-        raise ShapeError("power iteration needs iters >= 1")
     mat = weight.reshape(weight.shape[0], -1)
-    if state is not None and name in state.vectors:
-        u = state.vectors[name]
-    else:
+    u = state.vectors.get(name)
+    if u is None:
         # Fixed start keeps the estimate deterministic.
         u = np.full(mat.shape[0], 1.0 / np.sqrt(mat.shape[0]))
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         v = mat.T @ u
         v /= max(np.linalg.norm(v), SIGMA_FLOOR)
         u = mat @ v
         u /= max(np.linalg.norm(u), SIGMA_FLOOR)
-    if state is not None:
-        state.vectors[name] = u
+    state.vectors[name] = u
     sigma = float(u @ mat @ v)
     return weight / max(sigma, SIGMA_FLOOR)
 
@@ -96,7 +90,7 @@ def leaky_relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, LEAKY_SLOPE * x)
 
 
-def _conv2d(x: np.ndarray, kernel: np.ndarray, bias, stride: tuple) -> np.ndarray:
+def _conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: tuple) -> np.ndarray:
     """Valid-mode strided 2-D convolution. x: (C_in, H, W); kernel:
     (C_out, C_in, kh, kw). One GEMM over the im2col patch matrix."""
     c_in, H, W = x.shape
@@ -109,8 +103,7 @@ def _conv2d(x: np.ndarray, kernel: np.ndarray, bias, stride: tuple) -> np.ndarra
     _, Ho, Wo, _, _ = view.shape
     cols = view.transpose(1, 2, 0, 3, 4).reshape(Ho * Wo, c_in * kh * kw)
     out = (kernel.reshape(c_out, -1) @ cols.T).reshape(c_out, Ho, Wo)
-    if bias is not None:
-        out += bias[:, None, None]
+    out += bias[:, None, None]
     return out
 
 
@@ -148,7 +141,7 @@ def _run_stack(x, branch, conv, weights, config, state) -> BranchOutput:
         key = f"{branch}.{name}"
         # Positional: a tracing wrapper installed on this name keeps `name` for itself.
         w = spectral_normalize(
-            weights[f"{key}.weight"].astype(np.float64), POWER_ITERS, state, f"{key}.weight"
+            weights[f"{key}.weight"].astype(np.float64), state, f"{key}.weight"
         )
         x = _conv2d(x, w, weights[f"{key}.bias"], stride if i < last else (1, 1))
         if i < last:

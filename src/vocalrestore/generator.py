@@ -51,7 +51,7 @@ class ModelConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        F = self.n_fft // 2 + 1
+        F = self.F   # builds stft_params: rejects an odd n_fft or hop > n_fft
         if not (1 <= self.n_band <= F):
             raise ShapeError(f"need 1 <= n_band <= F={F}, got {self.n_band}")
         if min(self.N, self.heads, self.L, self.dilation_cap) < 1:
@@ -61,8 +61,13 @@ class ModelConfig:
             raise ShapeError(f"N={self.N} not divisible by heads={self.heads}")
 
     @property
+    def stft_params(self) -> StftParams:
+        """The model's analysis grid."""
+        return StftParams(n_fft=self.n_fft, hop=self.hop)
+
+    @property
     def F(self) -> int:
-        return self.n_fft // 2 + 1
+        return self.stft_params.n_bins
 
     def layout(self) -> BandLayout:
         return mel_band_layout(self.F, self.n_band, self.sample_rate)
@@ -221,6 +226,10 @@ def load_weights(path) -> dict:
     for e in entries:
         try:
             name, shape, offset = e["name"], tuple(int(n) for n in e["shape"]), int(e["offset"])
+            if not isinstance(name, str):
+                raise TypeError(f"name {name!r} is not a string")
+            if offset < 0:
+                raise ValueError(f"offset {offset} is negative")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed manifest entry {e!r}: {exc!r}") from exc
         n = int(np.prod(shape))
@@ -360,7 +369,7 @@ def tile_plan(n_samples: int, config: ModelConfig) -> list[tuple[int, int, int, 
     """restore()'s frame tiles for n_samples: (lo, start, stop, hi) per tile,
     whose core frames [start, stop) are computed from input frames [lo, hi),
     the core plus an R-frame halo on each side clipped at the signal ends."""
-    n = StftParams(n_fft=config.n_fft, hop=config.hop).frames(n_samples)
+    n = config.stft_params.frames(n_samples)
     R = receptive_field(config)
     return [
         (max(s - R, 0), s, min(s + TILE_FRAMES, n), min(s + TILE_FRAMES + R, n))
@@ -376,11 +385,10 @@ def restore(wave: Waveform, weights: dict, config: ModelConfig) -> Waveform:
         raise SampleRateError(
             f"waveform is {wave.sample_rate} Hz, model expects {config.sample_rate}"
         )
-    params = StftParams(n_fft=config.n_fft, hop=config.hop)
-    X = stft(wave, params)
+    X = stft(wave, config.stft_params)
     cores = []
     for lo, start, stop, hi in tile_plan(len(wave), config):
-        Y = generator_forward(ComplexSpectrogram(X.bins[:, lo:hi], params), weights, config)
+        Y = generator_forward(ComplexSpectrogram(X.bins[:, lo:hi], X.params), weights, config)
         cores.append(Y.bins[:, start - lo:stop - lo])
-    Xhat = ComplexSpectrogram(np.concatenate(cores, axis=1), params)
+    Xhat = ComplexSpectrogram(np.concatenate(cores, axis=1), X.params)
     return istft(Xhat, len(wave), sample_rate=wave.sample_rate)

@@ -70,14 +70,12 @@ def wav_l1(est: Waveform, ref: Waveform) -> float:
     return float(np.mean(np.abs(est.samples - ref.samples)))
 
 
-def multi_res_spec_l1(est: Waveform, ref: Waveform, resolutions=None) -> float:
-    """Mean over resolutions of the mean absolute magnitude difference."""
+def multi_res_spec_l1(est: Waveform, ref: Waveform) -> float:
+    """Mean over DEFAULT_SPEC_RESOLUTIONS of the mean absolute magnitude difference."""
     if len(est) != len(ref):
         raise LengthMismatchError(f"lengths differ: {len(est)} vs {len(ref)}")
-    if resolutions is None:
-        resolutions = DEFAULT_SPEC_RESOLUTIONS
     terms = []
-    for params in resolutions:
+    for params in DEFAULT_SPEC_RESOLUTIONS:
         m_est = magnitude(stft(est, params))
         m_ref = magnitude(stft(ref, params))
         terms.append(np.mean(np.abs(m_est - m_ref)))
@@ -173,26 +171,29 @@ def feature_matching(real_feats, fake_feats) -> float:
     return float(np.mean(branch_terms))
 
 
+def _recon(report: LossReport, weights: LossWeights) -> float:
+    return (weights.lambda_wav * report.wav + weights.lambda_spec * report.spec
+            + weights.lambda_omni * report.omni)
+
+
 def reconstruction_loss(
     est: Waveform, ref: Waveform, est_spec: ComplexSpectrogram, ref_spec: ComplexSpectrogram
 ) -> LossReport:
     """Composite reconstruction loss at the default LossWeights; the omni
     term reads the two spectrograms."""
-    weights = LossWeights()
     report = LossReport()
     report.wav = wav_l1(est, ref)
     report.spec = multi_res_spec_l1(est, ref)
     report.omni = omni_phase_loss(est_spec, ref_spec)
-    report.recon = (
-        weights.lambda_wav * report.wav
-        + weights.lambda_spec * report.spec
-        + weights.lambda_omni * report.omni
-    )
+    report.recon = _recon(report, LossWeights())
     return report
 
 
 def generator_total(report: LossReport, weights: LossWeights) -> float:
-    """L_G = L_recon + lambda_adv * L_adv + lambda_fm * L_fm."""
+    """L_G = L_recon + lambda_adv * L_adv + lambda_fm * L_fm, with L_recon
+    recomputed from the report's terms at these weights; writes both to the
+    report."""
+    report.recon = _recon(report, weights)
     total = report.recon + weights.lambda_adv * report.adv + weights.lambda_fm * report.fm
     report.g_total = float(total)
     return report.g_total

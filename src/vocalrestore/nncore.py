@@ -57,7 +57,7 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return out
 
 
-def depthwise_conv1d(x: np.ndarray, kernels: np.ndarray, dilation: int = 1) -> np.ndarray:
+def depthwise_conv1d(x: np.ndarray, kernels: np.ndarray, dilation: int) -> np.ndarray:
     """Per-channel dilated correlation along time, same-length output via
     zero padding.
 

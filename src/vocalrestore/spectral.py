@@ -5,13 +5,13 @@ synthesis is weighted overlap-add with per-sample squared-window
 normalization, which reconstructs exactly wherever the squared-window
 overlap sum is bounded away from zero.
 
-Transforms run in 64-bit floats throughout. The default analysis grid is
-4096/2048 (window/hop).
+Transforms run in 64-bit floats throughout. The model's analysis grid is
+ModelConfig.stft_params.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,8 +30,8 @@ def _window(n_fft: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StftParams:
-    n_fft: int = 4096
-    hop: int = 2048
+    n_fft: int
+    hop: int
 
     def __post_init__(self):
         if self.n_fft <= 0 or self.n_fft % 2:
@@ -56,7 +56,7 @@ class ComplexSpectrogram:
     """One-sided complex spectrogram: bins has shape (F, T_s), complex128."""
 
     bins: np.ndarray
-    params: StftParams = field(default_factory=StftParams)
+    params: StftParams
 
     def __post_init__(self):
         arr = np.asarray(self.bins, dtype=np.complex128)
@@ -91,7 +91,7 @@ def stft(wave: Waveform, params: StftParams) -> ComplexSpectrogram:
     return ComplexSpectrogram(spec, params)
 
 
-def istft(spec: ComplexSpectrogram, length: int, sample_rate: int = 1) -> Waveform:
+def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> Waveform:
     """Weighted-overlap-add synthesis back to `length` samples.
 
     Raises NonInvertibleError where the squared-window overlap sum falls

@@ -89,15 +89,15 @@ def test_envelope_matches_definition():
     for i, sl in enumerate(layout.slices()):
         band = spec.bins[sl]
         ref = np.sqrt((band.real**2 + band.imag**2).sum(axis=0) + eps)
-        assert np.allclose(env.values[i], ref, rtol=0, atol=1e-12)
-    assert np.all(env.values >= np.sqrt(eps))
+        assert np.allclose(env[i], ref, rtol=0, atol=1e-12)
+    assert np.all(env >= np.sqrt(eps))
 
 
 def test_envelope_zero_input_floor():
     spec = _toy_spec()
     zero = type(spec)(np.zeros_like(spec.bins), spec.params)
     env = band_envelope(zero, mel_band_layout(129, 8, 16000), eps=1e-8)
-    assert np.allclose(env.values, np.sqrt(1e-8))
+    assert np.allclose(env, np.sqrt(1e-8))
 
 
 def test_packed_features():
@@ -109,9 +109,9 @@ def test_packed_features():
         bw = layout.widths[i]
         assert feats.shape == (2 * bw + 1, spec.n_frames)
         band = spec.bins[sl]
-        assert np.allclose(feats[0:2 * bw:2], band.real / env.values[i])
-        assert np.allclose(feats[1:2 * bw:2], band.imag / env.values[i])
-        assert np.allclose(feats[-1], np.log(env.values[i]))
+        assert np.allclose(feats[0:2 * bw:2], band.real / env[i])
+        assert np.allclose(feats[1:2 * bw:2], band.imag / env[i])
+        assert np.allclose(feats[-1], np.log(env[i]))
         # normalized re/im magnitudes are bounded by 1 per frame
         assert np.all(feats[: 2 * bw] ** 2 <= 1.0 + 1e-12)
 
@@ -123,7 +123,7 @@ def test_reassemble_round_trip():
     layout = mel_band_layout(129, 8, 16000)
     env = band_envelope(spec, layout, eps=1e-8)
     rows = [feats[:-1] * p for feats, p in
-            zip(pack_band_features(spec, layout, eps=1e-8), env.values)]
+            zip(pack_band_features(spec, layout, eps=1e-8), env)]
     bins = reassemble(rows, layout)
     assert bins.dtype == np.complex128
     assert np.max(np.abs(bins - spec.bins)) <= 1e-12

@@ -256,9 +256,14 @@ def _weights_bytes(manifest) -> bytes:
     (generator.WEIGHT_MAGIC, "2", "ends before the manifest length"),
     (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32"}]), "2", "KeyError('offset')"),
     (_weights_bytes({"a": {"shape": [2], "offset": 0}}), "2", "manifest is a JSON dict"),
+    (_weights_bytes([{"name": ["a"], "shape": [2], "dtype": "f32", "offset": 0}]), "2",
+     "name ['a'] is not a string"),
+    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32", "offset": -16}]), "2",
+     "offset -16 is negative"),
     (None, "0", "heads"),
     (None, "two", "config key 'heads'"),
-], ids=["ends_after_magic", "entry_without_offset", "manifest_object", "heads_0", "heads_two"])
+], ids=["ends_after_magic", "entry_without_offset", "manifest_object", "name_list",
+        "negative_offset", "heads_0", "heads_two"])
 def test_malformed_model_files(model_files, tmp_path, capsys, weights, heads, cause):
     """A malformed weights file or config exits 1 with `error: <cause>`, not a
     traceback."""

@@ -58,6 +58,13 @@ def test_config_text_round_trip():
         ModelConfig.from_text("nonsense_key = 3\n")
 
 
+@pytest.mark.parametrize("key, value", [("n_fft", 4095), ("hop", 8192)])
+def test_config_rejects_bad_stft_grid(key, value):
+    """An odd n_fft or a hop above n_fft fails when the config is parsed."""
+    with pytest.raises(ShapeError, match=key):
+        ModelConfig.from_text(f"{key} = {value}\n")
+
+
 def test_manifest_parameter_count():
     """Total parameter count against a closed-form recount."""
     cfg = toy_config(n_band=4, N=8, L=2, heads=2)

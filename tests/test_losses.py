@@ -65,22 +65,23 @@ def test_wav_l1_gaussian_expectation():
 
 
 def test_spec_l1_two_frame_oracle():
-    """Single-resolution magnitude L1 recomputed via a naive DFT."""
-    n = 512
+    """Magnitude L1 recomputed via a naive DFT at each of the three
+    resolutions (window/hop 2048/512, 1024/256, 512/128), then averaged."""
+    n = 2048
     a, b = _wave(n, seed=2), _wave(n, seed=3)
-    params = StftParams(n_fft=256, hop=128)
-    window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(256) / 256)
 
-    def mags(w):
-        padded = np.pad(w.samples, 128, mode="reflect")
+    def mags(w, n_fft, hop):
+        window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n_fft) / n_fft)
+        padded = np.pad(w.samples, n_fft // 2, mode="reflect")
         cols = []
-        for t in range(1 + n // 128):
-            frame = padded[t * 128 : t * 128 + 256] * window
+        for t in range(1 + n // hop):
+            frame = padded[t * hop : t * hop + n_fft] * window
             cols.append(np.abs(naive_dft_fast(frame)))
         return np.stack(cols, axis=1)
 
-    ref = np.mean(np.abs(mags(a) - mags(b)))
-    got = multi_res_spec_l1(a, b, resolutions=(params,))
+    ref = np.mean([np.mean(np.abs(mags(a, n_fft, hop) - mags(b, n_fft, hop)))
+                   for n_fft, hop in ((2048, 512), (1024, 256), (512, 128))])
+    got = multi_res_spec_l1(a, b)
     assert abs(got - ref) < 1e-9
 
 
@@ -188,6 +189,15 @@ def test_reconstruction_and_generator_total():
 
     payload = json.loads(report.to_json())
     assert {"wav", "spec", "omni", "recon"} <= set(payload)
+
+
+def test_generator_total_uses_given_recon_weights():
+    """L_recon comes from the given lambdas, not from the recon the report
+    holds: zeroed, L_G is the adversarial and feature-matching part alone."""
+    report = LossReport(wav=0.2, spec=0.5, omni=0.4, recon=1.1, adv=0.3, fm=0.7)
+    total = generator_total(report, LossWeights(lambda_wav=0, lambda_spec=0, lambda_omni=0))
+    assert total == 0.1 * 0.3 + 2.0 * 0.7
+    assert report.recon == 0.0
 
 
 def test_loss_report_json_keys():

@@ -105,11 +105,11 @@ def test_depthwise_conv_oracle(dilation, k):
 def test_depthwise_conv_errors():
     x = np.zeros((3, 10))
     with pytest.raises(ConfigError):
-        depthwise_conv1d(x, np.zeros((3, 4)))
+        depthwise_conv1d(x, np.zeros((3, 4)), 1)
     with pytest.raises(ConfigError):
         depthwise_conv1d(x, np.zeros((3, 3)), dilation=0)
     with pytest.raises(ShapeError):
-        depthwise_conv1d(x, np.zeros((2, 3)))
+        depthwise_conv1d(x, np.zeros((2, 3)), 1)
 
 
 def test_glu():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from vocalrestore.audio_io import Waveform
 from vocalrestore.errors import EmptyInputError, NonInvertibleError
+from vocalrestore.generator import ModelConfig
 from vocalrestore.spectral import ComplexSpectrogram, StftParams, istft, magnitude, stft
 
 from oracles import naive_dft_fast
@@ -37,7 +38,7 @@ def test_frame_count():
 
 def test_round_trip_exact():
     x = _wave(48000, seed=1)
-    rec = istft(stft(x, TOY), length=len(x.samples))
+    rec = istft(stft(x, TOY), len(x.samples), x.sample_rate)
     assert np.max(np.abs(rec.samples - x.samples)) < 1e-10
 
 
@@ -45,7 +46,7 @@ def test_round_trip_exact():
 @settings(max_examples=25, deadline=None)
 def test_round_trip_property(n, seed):
     x = _wave(n, seed=seed)
-    rec = istft(stft(x, TOY), length=n)
+    rec = istft(stft(x, TOY), n, x.sample_rate)
     assert np.max(np.abs(rec.samples - x.samples)) < 1e-9
 
 
@@ -90,9 +91,9 @@ def test_non_invertible_hop():
         np.ones((129, 8), dtype=np.complex128), StftParams(n_fft=256, hop=256)
     )
     with pytest.raises(NonInvertibleError):
-        istft(spec, length=1500)
+        istft(spec, 1500, 16000)
 
 
 def test_default_params():
-    p = StftParams()
+    p = ModelConfig().stft_params
     assert (p.n_fft, p.hop, p.n_bins) == (4096, 2048, 2049)
