@@ -245,8 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="reconstruction losses between two WAVs")
     p.add_argument("--ref", required=True, help="reference (clean) WAV")
     p.add_argument("--est", required=True, help="estimate (restored) WAV")
-    p.add_argument("--n-fft", type=int, default=4096, help="omni-term STFT window (default 4096)")
-    p.add_argument("--hop", type=int, default=2048, help="omni-term STFT hop (default 2048)")
+    grid = ModelConfig().stft_params
+    p.add_argument("--n-fft", type=int, default=grid.n_fft,
+                   help=f"omni-term STFT window (default {grid.n_fft}, the model's)")
+    p.add_argument("--hop", type=int, default=grid.hop,
+                   help=f"omni-term STFT hop (default {grid.hop}, the model's)")
     p.add_argument("--out", default=None, help="write JSON report here (default: stdout)")
     p.set_defaults(func=cmd_eval)
 

@@ -4,6 +4,20 @@ heads, reassembly, plus weight init/serialization and waveform restoration.
 The network runs in float32 (deployment precision) from the stem to the
 synthesis heads; the STFT, band packing and reassembly stay in float64. All
 operations are deterministic.
+
+The stage functions take the weights as stored. The per-channel factors that
+sit next to a 1x1 conv are folded into that conv where it is used, so no
+kernel applies them as a separate pass:
+- every RMSNorm gain into the columns of the conv that reads the norm (stem,
+  the attention and feedforward norms in _attention_path, the temporal norms
+  in _temporal_path, the head norms in synthesis_head);
+- 1/sqrt(d) into Wq and bq (_attention_path);
+- each layer-scale gamma into pw2's rows and bias (_temporal_path);
+- the 1/2 factors of sigmoid(z) = (1 + tanh(z/2)) / 2 into the rows that feed
+  the tanh-form silu (W_gate, head conv1) and glu (pw1 and head conv2, value
+  and gate halves alike).
+Each folded copy lives only while its stage runs; no prepared copy of the
+whole model is kept.
 """
 
 from __future__ import annotations
@@ -230,6 +244,8 @@ def load_weights(path) -> dict:
                 raise TypeError(f"name {name!r} is not a string")
             if offset < 0:
                 raise ValueError(f"offset {offset} is negative")
+            if min(shape, default=0) < 0:
+                raise ValueError(f"shape {list(shape)} has a negative entry")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed manifest entry {e!r}: {exc!r}") from exc
         n = int(np.prod(shape))
@@ -246,7 +262,8 @@ def load_weights(path) -> dict:
 
 
 def stem(packed: list[np.ndarray], weights: dict, config: ModelConfig) -> np.ndarray:
-    """Per-band RMSNorm + 1x1 projection to the shared width N.
+    """Per-band RMSNorm + 1x1 projection to the shared width N, the norm gain
+    folded into the projection's columns.
 
     Returns H0 of shape (N, n_band, T_s), the one layout the block stack and
     the heads use.
@@ -257,8 +274,9 @@ def stem(packed: list[np.ndarray], weights: dict, config: ModelConfig) -> np.nda
     H = np.empty((config.N, config.n_band, T), dtype=packed[0].dtype)
     for i, feats in enumerate(packed):
         p = f"stem.band{i}"
-        x = rmsnorm(feats, weights[f"{p}.norm.gain"])
-        H[:, i] = pointwise_conv(x, weights[f"{p}.proj.weight"], weights[f"{p}.proj.bias"])
+        H[:, i] = pointwise_conv(rmsnorm(feats),
+                                 weights[f"{p}.proj.weight"] * weights[f"{p}.norm.gain"],
+                                 weights[f"{p}.proj.bias"])
     return H
 
 
@@ -267,49 +285,68 @@ def _attention_path(H: np.ndarray, weights: dict, config: ModelConfig, prefix: s
     output plus the feedforward output, which reads rmsnorm(H + attention).
 
     H: (N, n_band, T). Attention runs along the band axis independently per
-    frame; RoPE on queries/keys is keyed by band index.
+    frame; RoPE on queries/keys is keyed by band index. Folds: the attention
+    norm gain into the columns of Wq, Wk and Wv, 1/sqrt(d) into Wq and bq,
+    the feedforward norm gain into the columns of W_gate and W_in, and the
+    1/2 of the tanh-form SiLU into W_gate and its bias.
     """
     N, nb, T = H.shape
     heads, d = config.heads, N // config.heads
+    p = f"{prefix}.attn"
     w = weights
 
-    x = rmsnorm(H, w[f"{prefix}.attn.norm.gain"])
+    # (nb*T, N) rows, one per (band, frame): each projection x @ W.T is then
+    # a (nb, T, heads, d) buffer, and its (T, heads, nb, d) view, which
+    # attention batches over, keeps d at unit stride.
+    x = rmsnorm(H).reshape(N, nb * T).T
+    gain = w[f"{p}.norm.gain"]
 
-    def proj(name):
-        y = pointwise_conv(x, w[f"{prefix}.attn.{name}.weight"], w[f"{prefix}.attn.{name}.bias"])
-        # (N, nb, T) -> (T, heads, nb, d): sequence axis is the band axis
-        return y.reshape(heads, d, nb, T).transpose(3, 0, 2, 1)
+    def project(name, scale):
+        y = x @ (w[f"{p}.{name}.weight"] * (gain * scale)).T
+        y += w[f"{p}.{name}.bias"] * scale
+        return y.reshape(nb, T, heads, d).transpose(1, 2, 0, 3)
 
-    q, k, v = proj("q"), proj("k"), proj("v")
-    pos = np.arange(nb)
-    q = rope(q, pos)
-    k = rope(k, pos)
-    out = attention_core(q, k, v)                       # (T, heads, nb, d)
-    out = out.transpose(1, 3, 2, 0).reshape(N, nb, T)
-    out = pointwise_conv(out, w[f"{prefix}.attn.out.weight"], w[f"{prefix}.attn.out.bias"])
+    q = rope(project("q", d ** -0.5))
+    k = rope(project("k", 1.0))
+    v = project("v", 1.0)
+    del x               # the scores take its room
+    o = attention_core(q, k, v)
+    del q, k, v         # and the feedforward holds none of the attention buffers
+    o = o.transpose(2, 0, 1, 3).reshape(nb * T, N)   # a view: o is (nb, T, heads, d) in memory
+    out = (w[f"{p}.out.weight"] @ o.T).reshape(N, nb, T)
+    del o
+    out += w[f"{p}.out.bias"][:, None, None]
 
-    x = rmsnorm(H + out, w[f"{prefix}.ffn.norm.gain"])
-    hidden = silu(
-        pointwise_conv(x, w[f"{prefix}.ffn.w_gate.weight"], w[f"{prefix}.ffn.w_gate.bias"])
-    ) * pointwise_conv(x, w[f"{prefix}.ffn.w_in.weight"], w[f"{prefix}.ffn.w_in.bias"])
-    out += pointwise_conv(hidden, w[f"{prefix}.ffn.w_out.weight"], w[f"{prefix}.ffn.w_out.bias"])
+    p = f"{prefix}.ffn"
+    gain = w[f"{p}.norm.gain"]
+    x = rmsnorm(H + out)
+    hidden = silu(pointwise_conv(x, w[f"{p}.w_gate.weight"] * (gain * 0.5),
+                                 w[f"{p}.w_gate.bias"] * 0.5))
+    hidden *= pointwise_conv(x, w[f"{p}.w_in.weight"] * gain, w[f"{p}.w_in.bias"])
+    out += pointwise_conv(hidden, w[f"{p}.w_out.weight"], w[f"{p}.w_out.bias"])
     return out
 
 
 def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: int):
     """Stack of dilated depthwise ConvNeXT blocks over time, weights shared
-    across bands; returns H after their three residual updates."""
+    across bands; returns H after their three residual updates. Folds: the
+    norm gain and the 1/2 of the tanh-form GLU (value and gate rows alike)
+    into pw1, the layer-scale gamma into pw2's rows and bias."""
     x = H
     w = weights
     for j, dil in enumerate(config.dilations(layer_index)):
         q = f"{prefix}.temporal{j}"
-        u = depthwise_conv1d(x, w[f"{q}.dw.kernel"], dilation=dil)
+        gamma = w[f"{q}.gamma"]
+        # each step rebinds u, so its input is freed before the next kernel runs
+        u = depthwise_conv1d(x, w[f"{q}.dw.kernel"], dil)
         u += w[f"{q}.dw.bias"][:, None, None]
-        u = rmsnorm(u, w[f"{q}.norm.gain"])
-        u = pointwise_conv(u, w[f"{q}.pw1.weight"], w[f"{q}.pw1.bias"])
+        u = rmsnorm(u)
+        u = pointwise_conv(u, w[f"{q}.pw1.weight"] * (w[f"{q}.norm.gain"] * 0.5),
+                           w[f"{q}.pw1.bias"] * 0.5)
         u = glu(u)
-        u = pointwise_conv(u, w[f"{q}.pw2.weight"], w[f"{q}.pw2.bias"])
-        x = x + u * w[f"{q}.gamma"][:, None, None]
+        u = pointwise_conv(u, w[f"{q}.pw2.weight"] * gamma[:, None], w[f"{q}.pw2.bias"] * gamma)
+        u += x
+        x = u
     return x
 
 
@@ -318,23 +355,28 @@ def band_sequence_block(
 ) -> np.ndarray:
     """One band-sequence block: cross-band attention pathway plus within-band
     temporal pathway, both read from the block input H: (N, n_band, T). The
-    temporal stream carries H; the attention pathway's output adds onto it."""
+    temporal stream carries H; the attention pathway's output adds onto it.
+    Takes the raw weights; each pathway folds its own slice at use."""
     if H.shape[:2] != (config.N, config.n_band):
         raise ShapeError(f"expected ({config.N}, {config.n_band}, T), got {H.shape}")
     prefix = f"block{layer_index}"
-    # attention first: the temporal path, which peaks lower, holds its output
-    attention = _attention_path(H, weights, config, prefix)
-    return _temporal_path(H, weights, config, prefix, layer_index) + attention
+    # temporal first: the attention path, which peaks lower, holds its output
+    out = _temporal_path(H, weights, config, prefix, layer_index)
+    out += _attention_path(H, weights, config, prefix)
+    return out
 
 
 def synthesis_head(H_i: np.ndarray, weights: dict, band_index: int, bw: int):
     """RMSNorm -> 1x1 conv -> SiLU -> 1x1 conv -> GLU on one band's (N, T)
-    slice: (2*bw, T) rows in the re/im order that reassemble reads."""
+    slice: (2*bw, T) rows in the re/im order that reassemble reads. Folds:
+    the norm gain and the 1/2 of the tanh-form SiLU into conv1, the 1/2 of
+    the tanh-form GLU into conv2."""
     p = f"head.band{band_index}"
-    x = rmsnorm(H_i, weights[f"{p}.norm.gain"])
-    x = pointwise_conv(x, weights[f"{p}.conv1.weight"], weights[f"{p}.conv1.bias"])
+    x = rmsnorm(H_i)
+    x = pointwise_conv(x, weights[f"{p}.conv1.weight"] * (weights[f"{p}.norm.gain"] * 0.5),
+                       weights[f"{p}.conv1.bias"] * 0.5)
     x = silu(x)
-    x = pointwise_conv(x, weights[f"{p}.conv2.weight"], weights[f"{p}.conv2.bias"])
+    x = pointwise_conv(x, weights[f"{p}.conv2.weight"] * 0.5, weights[f"{p}.conv2.bias"] * 0.5)
     if x.shape[0] != 4 * bw:
         raise ShapeError(f"head {band_index}: pre-GLU channels {x.shape[0]} != {4 * bw}")
     return glu(x)
@@ -343,7 +385,11 @@ def synthesis_head(H_i: np.ndarray, weights: dict, band_index: int, bw: int):
 def generator_forward(
     X: ComplexSpectrogram, weights: dict, config: ModelConfig
 ) -> ComplexSpectrogram:
-    """Full generator pipeline on a complex spectrogram of matching F."""
+    """Full generator pipeline on a complex spectrogram of matching F.
+
+    Takes the raw weights, as stored; each stage folds its own slice where
+    it uses it (see the module docstring).
+    """
     if X.bins.shape[0] != config.F:
         raise ShapeError(f"expected F={config.F}, got {X.bins.shape[0]}")
     layout = config.layout()
@@ -351,6 +397,7 @@ def generator_forward(
     w32 = {k: np.asarray(v, dtype=np.float32) for k, v in weights.items()}
 
     H = stem(packed, w32, config)
+    del packed
     for layer in range(config.L):
         H = band_sequence_block(H, w32, config, layer)
 

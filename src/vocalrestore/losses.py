@@ -198,10 +198,3 @@ def generator_total(report: LossReport, weights: LossWeights) -> float:
     report.g_total = float(total)
     return report.g_total
 
-
-def grad_clip_scale(global_norm: float, threshold: float = 1.0) -> float:
-    """min(1, threshold / max(norm, 1e-12)); the exact clip rule downstream
-    trainers should reuse."""
-    if global_norm < 0:
-        raise ShapeError("gradient norm must be nonnegative")
-    return float(min(1.0, threshold / max(global_norm, 1e-12)))

@@ -2,13 +2,21 @@
 
 The convolution, normalization and gating kernels are channel-first: they
 take (C, ..., T) arrays and act on axis 0 (channels) and the last axis
-(time). rope and attention_core take (..., sequence, features). All are pure
-functions; compute dtype follows the input dtype (RoPE's tables and the
-attention scale included), so callers choose precision. No autodiff, no
+(time). rope and attention_core take (..., sequence, features). All but rope,
+which rotates in place, are pure functions; compute dtype follows the input
+dtype (RoPE's tables included), so callers choose precision. No autodiff, no
 dropout, no state.
+
+The kernels carry no parameter that a caller can fold into the weights of a
+1x1 conv: rmsnorm has no gain, attention_core no 1/sqrt(d) scale, and silu
+and glu take the half-scaled inputs of the tanh form of the sigmoid,
+sigmoid(z) = (1 + tanh(z / 2)) / 2. generator folds each of these into the
+conv next to it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -19,30 +27,22 @@ ROPE_BASE = 10000.0
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    s = sigmoid(x)
+    """x * (1 + tanh(x)), which is SiLU(2x) = 2x * sigmoid(2x): the caller
+    feeds x = z / 2 for SiLU(z)."""
+    s = np.tanh(x)
+    s += 1.0
     s *= x
     return s
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Clip + exp on one buffer, in place: scipy.special.expit is slower at the
-    # generator's frame counts. The clip keeps exp finite for large |x|.
-    s = np.clip(x, -60.0, 60.0)
-    np.negative(s, out=s)
-    np.exp(s, out=s)
-    s += 1.0
-    return np.reciprocal(s, out=s)
-
-
-def rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """x / sqrt(mean(x^2) + delta) * gain, normalized over the channel axis 0."""
-    gain = np.asarray(gain)
-    if x.shape[0] != gain.shape[0]:
-        raise ShapeError(
-            f"gain length {gain.shape[0]} != feature dim {x.shape[0]}"
-        )
-    ms = np.mean(np.square(x), axis=0, keepdims=True)
-    return x / np.sqrt(ms + RMSNORM_DELTA) * gain.reshape((-1,) + (1,) * (x.ndim - 1))
+def rmsnorm(x: np.ndarray) -> np.ndarray:
+    """x / sqrt(mean(x^2) + delta), normalized over the channel axis 0; the
+    gain is the caller's to fold into the conv that reads the output."""
+    # einsum sums the squares without a squared copy of x
+    ms = np.einsum("i...,i...->...", x, x)
+    ms /= x.shape[0]
+    ms += RMSNORM_DELTA
+    return x / np.sqrt(ms, out=ms)
 
 
 def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -58,10 +58,12 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
 
 
 def depthwise_conv1d(x: np.ndarray, kernels: np.ndarray, dilation: int) -> np.ndarray:
-    """Per-channel dilated correlation along time, same-length output via
-    zero padding.
+    """Per-channel dilated correlation along time, same-length output; taps
+    that fall outside [0, T) read zeros.
 
     x: (C, ..., T); kernels: (C, k) with k odd, shared over the middle axes.
+    The centre tap makes the output buffer and every other tap adds its
+    shifted slice in place, so no padded copy of x is made.
     """
     kernels = np.asarray(kernels)
     if kernels.ndim != 2 or kernels.shape[0] != x.shape[0]:
@@ -73,57 +75,77 @@ def depthwise_conv1d(x: np.ndarray, kernels: np.ndarray, dilation: int) -> np.nd
         raise ConfigError(f"kernel length must be odd, got {k}")
     if dilation < 1:
         raise ConfigError(f"dilation must be >= 1, got {dilation}")
-    half = (k - 1) // 2 * dilation
+    centre = (k - 1) // 2
     T = x.shape[-1]
-    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)])
     kernels = kernels.reshape(kernels.shape + (1,) * (x.ndim - 1))
-    out = np.zeros_like(x)
+    out = x * kernels[:, centre]
     for j in range(k):
-        off = j * dilation
-        out += kernels[:, j] * padded[..., off:off + T]
+        off = (j - centre) * dilation
+        if off < 0 and -off < T:
+            out[..., -off:] += kernels[:, j] * x[..., :T + off]
+        elif 0 < off < T:
+            out[..., :T - off] += kernels[:, j] * x[..., off:]
     return out
 
 
 def glu(x: np.ndarray) -> np.ndarray:
-    """First half of the channels gated by the sigmoid of the second half."""
+    """a * (1 + tanh(b)) for the first half a and second half b of the
+    channels, which is 2a * sigmoid(2b): the caller feeds half of the value
+    and gate pre-activations for the GLU a' * sigmoid(b')."""
     n = x.shape[0]
     if n % 2:
         raise ShapeError(f"GLU needs an even channel count, got {n}")
-    gate = sigmoid(x[n // 2:])
+    gate = np.tanh(x[n // 2:])
+    gate += 1.0
     gate *= x[:n // 2]
     return gate
 
 
-def rope(x: np.ndarray, positions) -> np.ndarray:
-    """Rotate consecutive feature pairs of x: (..., S, d) by the angles
-    positions[s] * theta_j of each sequence position s."""
-    d = x.shape[-1]
+@functools.lru_cache(maxsize=8)
+def _rotations(S: int, d: int, dtype: np.dtype) -> np.ndarray:
+    """(S, d/2) read-only table of exp(i * s * theta_j) in the complex dtype."""
+    theta = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
+    ang = np.arange(S)[:, None] * theta
+    table = (np.cos(ang) + 1j * np.sin(ang)).astype(dtype)
+    table.flags.writeable = False
+    return table
+
+
+def rope(x: np.ndarray) -> np.ndarray:
+    """Rotate, in place, consecutive feature pairs of x: (..., S, d) by the
+    angles s * theta_j of each sequence position s; returns x.
+
+    Each pair (x_2j, x_2j+1) is one complex number x_2j + i x_2j+1, so the
+    rotation is one complex multiply on a complex view of x. That view needs
+    the feature axis at unit stride.
+    """
+    S, d = x.shape[-2:]
     if d % 2:
         raise ConfigError(f"RoPE needs an even head dim, got {d}")
-    theta = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
-    ang = np.asarray(positions, dtype=np.float64)[:, None] * theta
-    cos, sin = np.cos(ang).astype(x.dtype), np.sin(ang).astype(x.dtype)
-    even, odd = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+    if x.strides[-1] != x.itemsize:
+        raise ShapeError(f"RoPE needs the feature axis at unit stride, got strides {x.strides}")
+    z = x.view(np.dtype(f"c{2 * x.itemsize}"))
+    z *= _rotations(S, d, z.dtype)
+    return x
 
 
 def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Scaled dot-product attention over the sequence axis.
+    """Dot-product attention over the sequence axis, softmax(q k^T) v; the
+    1/sqrt(d) scale is the caller's to fold into q.
 
-    q, k, v: (..., S, d_head). This is the part whose cost is quadratic in
-    the sequence (band) count. The scores are held key-major, (..., key,
-    query), so the softmax max and sum reduce over axis -2: NumPy reduces
-    many short last-axis rows several times slower than the same work
-    across rows. With that, in float32 at head dim 32 the quadratic term
-    dominates from about 32 bands; below that, the per-GEMM dispatch and the
-    per-query reductions (linear in S) cost as much as the arithmetic.
+    q, k, v: (..., S, d_head). The output has q's memory layout, so a caller
+    whose q is a transposed view of its projection buffer gets the output in
+    the same order. This is the part whose cost is quadratic in the sequence
+    (band) count. The scores are held key-major, (..., key, query), so the
+    softmax max and sum reduce over axis -2: NumPy reduces many short
+    last-axis rows several times slower than the same work across rows.
+    With that, in float32 at head dim 32 the quadratic term dominates from
+    about 32 bands; below that, the per-GEMM dispatch and the per-query
+    reductions (linear in S) cost as much as the arithmetic.
     """
-    # d ** -0.5 is a Python float, so the scaled q keeps the input's dtype.
-    scores = k @ np.swapaxes(q * q.shape[-1] ** -0.5, -1, -2)
+    scores = k @ np.swapaxes(q, -1, -2)
     scores -= scores.max(axis=-2, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-2, keepdims=True)
-    return np.swapaxes(scores, -1, -2) @ v
+    out = np.empty_like(q, shape=q.shape[:-1] + v.shape[-1:])
+    return np.matmul(np.swapaxes(scores, -1, -2), v, out=out)

@@ -228,6 +228,13 @@ def test_atomic_output_no_partial_file(model_files, tmp_path):
     assert leftovers == []
 
 
+def test_eval_grid_defaults_to_model():
+    """eval's STFT grid defaults to the model's own."""
+    args = build_parser().parse_args(["eval", "--ref", "a.wav", "--est", "b.wav"])
+    grid = generator.ModelConfig().stft_params
+    assert (args.n_fft, args.hop) == (grid.n_fft, grid.hop)
+
+
 def test_help_flags_documented(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit):
@@ -260,10 +267,14 @@ def _weights_bytes(manifest) -> bytes:
      "name ['a'] is not a string"),
     (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32", "offset": -16}]), "2",
      "offset -16 is negative"),
+    (_weights_bytes([{"name": "a", "shape": [-1, -2], "dtype": "f32", "offset": 0}]), "2",
+     "shape [-1, -2] has a negative entry"),
+    (_weights_bytes([{"name": "a", "shape": [-2], "dtype": "f32", "offset": 0}]), "2",
+     "shape [-2] has a negative entry"),
     (None, "0", "heads"),
     (None, "two", "config key 'heads'"),
 ], ids=["ends_after_magic", "entry_without_offset", "manifest_object", "name_list",
-        "negative_offset", "heads_0", "heads_two"])
+        "negative_offset", "negative_shape_pair", "negative_shape", "heads_0", "heads_two"])
 def test_malformed_model_files(model_files, tmp_path, capsys, weights, heads, cause):
     """A malformed weights file or config exits 1 with `error: <cause>`, not a
     traceback."""

@@ -27,7 +27,7 @@ from vocalrestore.generator import (
 from vocalrestore.nncore import RMSNORM_DELTA
 from vocalrestore.spectral import ComplexSpectrogram, StftParams, istft, stft
 
-from oracles import dense_attention
+from oracles import dense_attention, depthwise_conv_loops
 
 
 def _wave(n, seed=0, sr=16000, amp=0.1):
@@ -384,6 +384,80 @@ def test_forward_matches_float64_reference():
         [synthesis_head(H[:, i], w64, i, bw) for i, bw in enumerate(layout.widths)], layout
     )
     rms = np.sqrt(np.mean(np.abs(ref) ** 2))
+    assert np.max(np.abs(out - ref)) <= 1e-5 * rms
+
+
+def _unfolded_forward(X, w, cfg):
+    """The generator from its definitions, in float64, with nothing folded:
+    RMSNorm multiplies its gain, sigmoid is 1 / (1 + e^-x), attention is the
+    explicit-score oracle (1/sqrt(d) on the scores, rotate_pairs RoPE), and
+    each layer-scale gamma multiplies the temporal block's output."""
+    w = {k: v.astype(np.float64) for k, v in w.items()}
+    layout = cfg.layout()
+
+    def norm(x, gain):
+        x = x / np.sqrt(np.mean(x**2, axis=0, keepdims=True) + RMSNORM_DELTA)
+        return x * gain.reshape((-1,) + (1,) * (x.ndim - 1))
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    def conv(x, p):
+        y = np.tensordot(w[f"{p}.weight"], x, axes=(1, 0))
+        return y + w[f"{p}.bias"].reshape((-1,) + (1,) * (x.ndim - 1))
+
+    packed = pack_band_features(X, layout, cfg.eps)
+    H = np.stack([conv(norm(f, w[f"stem.band{i}.norm.gain"]), f"stem.band{i}.proj")
+                  for i, f in enumerate(packed)], axis=1)
+    for layer in range(cfg.L):
+        p = f"block{layer}"
+        mats = [w[f"{p}.attn.{n}.weight"] for n in ("q", "k", "v", "out")]
+        biases = [w[f"{p}.attn.{n}.bias"] for n in ("q", "k", "v", "out")]
+        A = np.stack([dense_attention(norm(H[:, :, t], w[f"{p}.attn.norm.gain"]),
+                                      *mats, *biases, cfg.heads)
+                      for t in range(H.shape[2])], axis=-1)
+        x = norm(H + A, w[f"{p}.ffn.norm.gain"])
+        gate = conv(x, f"{p}.ffn.w_gate")
+        A = A + conv(gate * sigmoid(gate) * conv(x, f"{p}.ffn.w_in"), f"{p}.ffn.w_out")
+        x = H
+        for j, dil in enumerate(cfg.dilations(layer)):
+            q = f"{p}.temporal{j}"
+            u = np.stack([depthwise_conv_loops(x[:, b], w[f"{q}.dw.kernel"], dil)
+                          for b in range(cfg.n_band)], axis=1)
+            u = conv(norm(u + w[f"{q}.dw.bias"][:, None, None], w[f"{q}.norm.gain"]),
+                     f"{q}.pw1")
+            half = u.shape[0] // 2
+            u = conv(u[:half] * sigmoid(u[half:]), f"{q}.pw2")
+            x = x + w[f"{q}.gamma"][:, None, None] * u
+        H = x + A
+    rows = []
+    for i in range(cfg.n_band):
+        x = conv(norm(H[:, i], w[f"head.band{i}.norm.gain"]), f"head.band{i}.conv1")
+        x = conv(x * sigmoid(x), f"head.band{i}.conv2")
+        half = x.shape[0] // 2
+        rows.append(x[:half] * sigmoid(x[half:]))
+    return reassemble(rows, layout)
+
+
+def test_forward_matches_unfolded_reference():
+    """generator_forward, which folds the norm gains, 1/sqrt(d), the
+    layer-scale gammas and the tanh-form 1/2 factors into the 1x1 convs, against
+    the unfolded float64 definitions at the toy config, with random gains and
+    biases and every gamma at 0.5: within 1e-5 of the output RMS."""
+    cfg = toy_config()
+    rng = np.random.default_rng(30)
+    w = {}
+    for name, arr in _gamma_weights(cfg, 31, 0.5).items():
+        if name.endswith("norm.gain"):
+            arr = rng.uniform(0.5, 1.5, arr.shape)
+        elif name.endswith(".bias"):
+            arr = 0.1 * rng.standard_normal(arr.shape)
+        w[name] = np.asarray(arr, dtype=np.float32)
+    X = stft(_wave(30 * cfg.hop, seed=32, sr=cfg.sample_rate), cfg.stft_params)
+    out = generator_forward(X, w, cfg).bins
+    ref = _unfolded_forward(X, w, cfg)
+    rms = np.sqrt(np.mean(np.abs(ref) ** 2))
+    assert rms > 0
     assert np.max(np.abs(out - ref)) <= 1e-5 * rms
 
 

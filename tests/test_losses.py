@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from vocalrestore.audio_io import Waveform
 from vocalrestore.errors import (
@@ -18,7 +17,6 @@ from vocalrestore.losses import (
     adv_loss,
     feature_matching,
     generator_total,
-    grad_clip_scale,
     hinge_d_loss,
     multi_res_spec_l1,
     omni_phase_loss,
@@ -204,22 +202,3 @@ def test_loss_report_json_keys():
     payload = json.loads(LossReport().to_json())
     assert set(payload) == {"wav", "spec", "omni", "recon", "d_loss", "adv", "fm", "g_total"}
 
-
-def test_grad_clip_scale():
-    assert grad_clip_scale(0.5) == 1.0
-    assert grad_clip_scale(1.0) == 1.0
-    assert grad_clip_scale(4.0) == 0.25
-    assert grad_clip_scale(2.0, threshold=0.5) == 0.25
-    assert grad_clip_scale(0.0) == 1.0
-    with pytest.raises(ShapeError):
-        grad_clip_scale(-1.0)
-
-
-@given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=1e-6, max_value=1e3))
-@settings(max_examples=100, deadline=None)
-def test_grad_clip_property(norm, thr):
-    s = grad_clip_scale(norm, thr)
-    assert 0.0 < s <= 1.0
-    assert norm * s <= max(norm * 1.0, thr) + 1e-9
-    if norm > thr:
-        assert abs(norm * s - thr) < 1e-6 * max(1.0, thr)

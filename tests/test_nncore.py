@@ -11,11 +11,10 @@ from vocalrestore.nncore import (
     pointwise_conv,
     rmsnorm,
     rope,
-    sigmoid,
     silu,
 )
 
-from oracles import depthwise_conv_loops, matmul_per_position, rotate_pairs
+from oracles import dense_attention, depthwise_conv_loops, matmul_per_position, rotate_pairs
 
 
 def _rng(seed=0):
@@ -28,43 +27,51 @@ DTYPES = (np.float64, np.float32)
 TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
 
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def test_silu_sigmoid_values():
+    """silu takes half of the SiLU input: silu(z / 2) = z * sigmoid(z)."""
+    z = _rng(0).standard_normal((4, 3, 9)) * 4.0
+    assert np.max(np.abs(silu(z / 2) - z * _sigmoid(z))) < 1e-14
     assert silu(np.array([0.0]))[0] == 0.0
-    assert abs(silu(np.array([1.0]))[0] - 1.0 / (1.0 + np.exp(-1.0))) < 1e-15
-    assert sigmoid(np.array([0.0]))[0] == 0.5
+    for dtype in DTYPES:
+        out = silu((z / 2).astype(dtype))
+        assert out.dtype == dtype
+        assert np.max(np.abs(out - z * _sigmoid(z))) < 10 * TOL[dtype]
     # extreme inputs saturate without overflow warnings
-    big = sigmoid(np.array([-1e6, 1e6]))
-    assert np.all(np.isfinite(big)) and big[0] < 1e-20 and big[1] >= 1 - 1e-15
+    with np.errstate(all="raise"):
+        big = silu(np.array([-1e6, 1e6]))
+    assert big[0] == 0.0 and big[1] == 2e6
 
 
 def test_rmsnorm_definition():
     x = _rng(1).standard_normal((6, 11))
-    gain = _rng(2).standard_normal(6)
-    out = rmsnorm(x, gain)
+    out = rmsnorm(x)
     for t in range(11):
         col = x[:, t]
-        ref = col / np.sqrt(np.mean(col**2) + RMSNORM_DELTA) * gain
+        ref = col / np.sqrt(np.mean(col**2) + RMSNORM_DELTA)
         assert np.max(np.abs(out[:, t] - ref)) < 1e-14
-    # (features, bands, T), normalized over the feature axis
+    # (features, bands, T), normalized over the feature axis; a strided
+    # (features, T) band slice gives the same columns
     x3 = _rng(4).standard_normal((6, 3, 11))
-    out3 = rmsnorm(x3, gain)
+    out3 = rmsnorm(x3)
     for b in range(3):
+        assert np.array_equal(rmsnorm(x3[:, b]), out3[:, b])
         for t in range(11):
             col = x3[:, b, t]
-            ref = col / np.sqrt(np.mean(col**2) + RMSNORM_DELTA) * gain
+            ref = col / np.sqrt(np.mean(col**2) + RMSNORM_DELTA)
             assert np.max(np.abs(out3[:, b, t] - ref)) < 1e-14
+    for dtype in DTYPES:
+        assert rmsnorm(x3.astype(dtype)).dtype == dtype
 
 
 def test_rmsnorm_unit_rms():
     x = _rng(3).standard_normal((16, 7)) * 5.0
-    out = rmsnorm(x, np.ones(16))
+    out = rmsnorm(x)
     rms = np.sqrt(np.mean(out**2, axis=0))
     assert np.max(np.abs(rms - 1.0)) < 1e-6
-
-
-def test_rmsnorm_shape_error():
-    with pytest.raises(ShapeError):
-        rmsnorm(np.zeros((4, 3)), np.ones(5))
 
 
 def test_pointwise_conv_oracle():
@@ -102,6 +109,38 @@ def test_depthwise_conv_oracle(dilation, k):
         assert np.max(np.abs(out3[:, i] - ref)) < 1e-12
 
 
+def _padded_depthwise(x, kernels, dilation):
+    """The zero-padded form: pad both ends by the reach, sum the k shifted
+    products tap by tap into a zero buffer."""
+    half = (kernels.shape[1] - 1) // 2 * dilation
+    T = x.shape[-1]
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)])
+    kernels = kernels.reshape(kernels.shape + (1,) * (x.ndim - 1))
+    out = np.zeros_like(x)
+    for j in range(kernels.shape[1]):
+        out += kernels[:, j] * padded[..., j * dilation:j * dilation + T]
+    return out
+
+
+@pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+def test_depthwise_conv_trim_bitwise(dilation):
+    """At the generator's kernel length 3 the centre-first, shifted-slice
+    kernel sums the same two products per output as the padded form and the
+    loop oracle, so all three agree bit for bit, including a T shorter than
+    the dilation."""
+    kernels = _rng(10).standard_normal((4, 3))
+    for T in (3, 30):
+        x = _rng(11).standard_normal((4, 5, T))
+        for dtype in DTYPES:
+            xd, kd = x.astype(dtype), kernels.astype(dtype)
+            out = depthwise_conv1d(xd, kd, dilation)
+            assert out.dtype == dtype
+            assert np.array_equal(out, _padded_depthwise(xd, kd, dilation))
+        out = depthwise_conv1d(x, kernels, dilation)
+        for b in range(5):
+            assert np.array_equal(out[:, b], depthwise_conv_loops(x[:, b], kernels, dilation))
+
+
 def test_depthwise_conv_errors():
     x = np.zeros((3, 10))
     with pytest.raises(ConfigError):
@@ -113,56 +152,101 @@ def test_depthwise_conv_errors():
 
 
 def test_glu():
-    x = _rng(9).standard_normal((8, 5))
-    out = glu(x)
-    ref = x[:4] * (1.0 / (1.0 + np.exp(-x[4:])))
-    assert np.max(np.abs(out - ref)) < 1e-14
+    """glu takes half of the GLU input: glu(x / 2) = a * sigmoid(b) for the
+    value half a and gate half b of x."""
+    x = _rng(9).standard_normal((8, 5)) * 4.0
+    ref = x[:4] * _sigmoid(x[4:])
+    assert np.max(np.abs(glu(x / 2) - ref)) < 1e-14
+    for dtype in DTYPES:
+        out = glu((x / 2).astype(dtype))
+        assert out.dtype == dtype
+        assert np.max(np.abs(out - ref)) < 10 * TOL[dtype]
+    with np.errstate(all="raise"):
+        big = glu(np.array([[3.0], [3.0], [-1e6], [1e6]]))
+    assert big[0, 0] == 0.0 and big[1, 0] == 6.0
     with pytest.raises(ShapeError):
         glu(np.zeros((5, 2)))
 
 
 def test_rope_identity_at_origin():
+    """Position 0 is not rotated; rope works in place and returns x."""
     for dtype in DTYPES:
         x = _rng(11).standard_normal((1, 8)).astype(dtype)
-        out = rope(x, [0])
-        assert out.dtype == dtype
-        assert np.array_equal(out, x)
+        ref = x.copy()
+        out = rope(x)
+        assert out is x and out.dtype == dtype
+        assert np.array_equal(out, ref)
 
 
 def test_rope_matches_reference():
-    """Each sequence position is rotated by its own angle; the output keeps
-    the input's dtype."""
-    positions = [1, 5, 100]
+    """Each sequence position s is rotated by its own angle, in place, on a
+    contiguous array or on a transposed view with the feature axis at unit
+    stride; the output keeps the input's dtype."""
+    S = 5
     for dtype in DTYPES:
-        x = _rng(12).standard_normal((2, 3, 16)).astype(dtype)
-        out = rope(x, positions)
-        assert out.dtype == dtype
-        x64 = x.astype(np.float64)
-        for h in range(2):
-            for s, pos in enumerate(positions):
-                ref = rotate_pairs(x64[h, s], pos)
-                assert np.max(np.abs(out[h, s] - ref)) < TOL[dtype]
+        base = _rng(12).standard_normal((S, 2, 16)).astype(dtype)
+        x64 = base.transpose(1, 0, 2).astype(np.float64)
+        for x in (base.transpose(1, 0, 2).copy(), base.transpose(1, 0, 2)):
+            out = rope(x)
+            assert out.dtype == dtype
+            for h in range(2):
+                for s in range(S):
+                    ref = rotate_pairs(x64[h, s], s)
+                    assert np.max(np.abs(out[h, s] - ref)) < TOL[dtype]
+        with pytest.raises(ShapeError):
+            rope(np.zeros((3, 16), dtype=dtype)[:, ::2])
 
 
 def test_rope_preserves_norm():
     for dtype in DTYPES:
         x = _rng(13).standard_normal((3, 10)).astype(dtype)
-        out = rope(x, [17, 4, 250])
-        assert out.dtype == dtype
         norms = np.linalg.norm(x.astype(np.float64), axis=-1)
+        out = rope(x)
+        assert out.dtype == dtype
         out_norms = np.linalg.norm(out.astype(np.float64), axis=-1)
         assert np.max(np.abs(out_norms - norms)) < TOL[dtype]
         with pytest.raises(ConfigError):
-            rope(np.zeros((3, 5), dtype=dtype), [0, 1, 2])
+            rope(np.zeros((3, 5), dtype=dtype))
 
 
 def test_rope_relative_position():
     """q(p1) . k(p2) depends only on p1 - p2."""
+    S = 60
     for dtype in DTYPES:
         rng = _rng(14)
-        q, k = (rng.standard_normal((1, 8)).astype(dtype) for _ in range(2))
-        dots = [float(rope(q, [p + 3])[0] @ rope(k, [p])[0]) for p in (0, 11, 50)]
+        q, k = (np.tile(rng.standard_normal(8), (S, 1)).astype(dtype) for _ in range(2))
+        rope(q)
+        rope(k)
+        dots = [float(q[p + 3] @ k[p]) for p in (0, 11, 50)]
         assert max(dots) - min(dots) < 100 * TOL[dtype]
+
+
+@pytest.mark.parametrize("use_rope", [False, True])
+def test_attention_core_matches_dense(use_rope):
+    """Per-head projections, RoPE (optional) and attention_core on a q that
+    carries the 1/sqrt(d) scale, against the explicit-score oracle. q, k and v
+    are transposed views of a (S, heads, d) buffer, as the generator passes
+    them, and the output comes back in that memory order."""
+    N, S, heads = 8, 6, 2
+    d = N // heads
+    rng = _rng(16)
+    x = rng.standard_normal((N, S))
+    mats = [rng.standard_normal((N, N)) / np.sqrt(N) for _ in range(4)]
+    biases = [0.1 * rng.standard_normal(N) for _ in range(4)]
+    ref = dense_attention(x, *mats, *biases, heads, use_rope=use_rope)
+
+    def project(i, scale=1.0):
+        y = x.T @ (mats[i] * scale).T + biases[i] * scale         # (S, N)
+        return y.reshape(S, heads, d).transpose(1, 0, 2)           # (heads, S, d)
+
+    q, k, v = project(0, d ** -0.5), project(1), project(2)
+    if use_rope:
+        rope(q)
+        rope(k)
+    o = attention_core(q, k, v)
+    assert o.shape == (heads, S, d) and o.strides == q.strides
+    out = mats[3] @ o.transpose(1, 0, 2).reshape(S, N).T + biases[3][:, None]
+    assert np.max(np.abs(out - ref)) < 1e-12
 
 
 def test_attention_core_uniform_keys():
@@ -184,7 +268,7 @@ def test_attention_core_one_hot():
         k = np.zeros((3, d), dtype=dtype)
         k[1, 0] = 1.0
         q = np.zeros((1, d), dtype=dtype)
-        q[0, 0] = 200.0 * np.sqrt(d)
+        q[0, 0] = 200.0
         v = np.arange(24, dtype=dtype).reshape(3, d)
         out = attention_core(q, k, v)
         assert out.dtype == dtype
@@ -201,9 +285,8 @@ def test_attention_permutation_equivariance_without_rope():
     a = attention_core(q, k, v)[:, perm]
     b = attention_core(q[:, perm], k[:, perm], v[:, perm])
     assert np.max(np.abs(a - b)) < 1e-12
-    pos = np.arange(S)
-    c = attention_core(rope(q, pos), rope(k, pos), v)[:, perm]
-    d = attention_core(rope(q[:, perm], pos), rope(k[:, perm], pos), v[:, perm])
+    c = attention_core(rope(q.copy()), rope(k.copy()), v)[:, perm]
+    d = attention_core(rope(q[:, perm]), rope(k[:, perm]), v[:, perm])
     assert np.max(np.abs(c - d)) > 1e-6
 
 
