@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ChannelError,
-    CorruptFileError,
-    FormatError,
-    IoError,
-)
+from .errors import FormatError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,7 @@ class Waveform:
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
-            raise ChannelError(f"expected 1-D sample buffer, got ndim={arr.ndim}")
+            raise ShapeError(f"expected 1-D sample buffer, got ndim={arr.ndim}")
         if arr.size and not np.all(np.isfinite(arr)):
             raise FormatError("waveform contains non-finite samples")
         if self.sample_rate <= 0:
@@ -59,11 +54,8 @@ def read_wav(path) -> Waveform:
     Integer PCM is scaled to [-1, 1) by dividing by 2**(bits-1); float data
     is passed through unscaled.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
 
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise FormatError(f"{path}: not a RIFF/WAVE file")
@@ -79,7 +71,7 @@ def read_wav(path) -> Waveform:
             fmt = body
         elif chunk_id == b"data":
             if len(body) < chunk_size:
-                raise CorruptFileError(
+                raise FormatError(
                     f"{path}: data chunk truncated ({len(body)} of {chunk_size} bytes)"
                 )
             data = body
@@ -88,19 +80,19 @@ def read_wav(path) -> Waveform:
     if fmt is None or len(fmt) < 16:
         raise FormatError(f"{path}: missing or short fmt chunk")
     if data is None:
-        raise CorruptFileError(f"{path}: missing data chunk")
+        raise FormatError(f"{path}: missing data chunk")
 
     audio_format, n_channels, sample_rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
     if n_channels != 1:
-        raise ChannelError(f"{path}: expected mono, got {n_channels} channels")
+        raise FormatError(f"{path}: expected mono, got {n_channels} channels")
 
     if audio_format == _FMT_PCM and bits == 16:
         if len(data) % 2:
-            raise CorruptFileError(f"{path}: data chunk not a whole number of samples")
+            raise FormatError(f"{path}: data chunk not a whole number of samples")
         samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     elif audio_format == _FMT_PCM and bits == 24:
         if len(data) % 3:
-            raise CorruptFileError(f"{path}: data chunk not a whole number of samples")
+            raise FormatError(f"{path}: data chunk not a whole number of samples")
         b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
         ints = (
             b[:, 0].astype(np.int32)
@@ -111,7 +103,7 @@ def read_wav(path) -> Waveform:
         samples = ints.astype(np.float64) / float(1 << 23)
     elif audio_format == _FMT_IEEE_FLOAT and bits == 32:
         if len(data) % 4:
-            raise CorruptFileError(f"{path}: data chunk not a whole number of samples")
+            raise FormatError(f"{path}: data chunk not a whole number of samples")
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
     else:
         raise FormatError(
@@ -119,7 +111,7 @@ def read_wav(path) -> Waveform:
         )
 
     if samples.size and not np.all(np.isfinite(samples)):
-        raise CorruptFileError(f"{path}: non-finite sample values")
+        raise FormatError(f"{path}: non-finite sample values")
     return Waveform(samples, sample_rate)
 
 
@@ -151,8 +143,5 @@ def write_wav(wave: Waveform, path, encoding: str = "float32") -> None:
     )
     if len(payload) & 1:
         body += b"\x00"
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutError
+from .errors import ConfigError, ShapeError
 from .spectral import ComplexSpectrogram
 
 
@@ -34,9 +34,9 @@ class BandLayout:
     def __post_init__(self):
         w = tuple(int(x) for x in self.widths)
         if any(x < 1 for x in w):
-            raise LayoutError(f"band widths must be >= 1, got {w}")
+            raise ShapeError(f"band widths must be >= 1, got {w}")
         if sum(w) != self.F:
-            raise LayoutError(f"widths sum to {sum(w)}, expected F={self.F}")
+            raise ShapeError(f"widths sum to {sum(w)}, expected F={self.F}")
         object.__setattr__(self, "widths", w)
 
     @property
@@ -68,7 +68,7 @@ def mel_band_layout(F: int, n_band: int, sample_rate: int) -> BandLayout:
     widths are nondecreasing after the forced prefix.
     """
     if not (1 <= n_band <= F):
-        raise LayoutError(f"need 1 <= n_band <= F, got n_band={n_band}, F={F}")
+        raise ShapeError(f"need 1 <= n_band <= F, got n_band={n_band}, F={F}")
     mel_pts = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_band + 1)
     hz = mel_to_hz(mel_pts)
     real = np.diff(hz / (sample_rate / 2.0) * F)   # increasing real widths
@@ -101,11 +101,11 @@ def mel_band_layout(F: int, n_band: int, sample_rate: int) -> BandLayout:
 def band_envelope(spec: ComplexSpectrogram, layout: BandLayout, eps: float) -> np.ndarray:
     """(n_band, T_s) power envelope p_i(t) = sqrt(sum over band bins of re^2 + im^2 + eps)."""
     if layout.F != spec.bins.shape[0]:
-        raise LayoutError(
+        raise ShapeError(
             f"layout covers {layout.F} bins, spectrogram has {spec.bins.shape[0]}"
         )
     if eps < 0:
-        raise LayoutError("eps must be nonnegative")
+        raise ConfigError("eps must be nonnegative")
     power = spec.bins.real ** 2 + spec.bins.imag ** 2
     values = np.empty((layout.n_band, spec.n_frames))
     for i, sl in enumerate(layout.slices()):
@@ -137,12 +137,12 @@ def reassemble(band_rows: list[np.ndarray], layout: BandLayout) -> np.ndarray:
     """Per-band (2*bw_i, T_s) rows interleaved (re0, im0, re1, im1, ...), as
     pack_band_features orders them, back to complex128 (F, T_s) bins."""
     if len(band_rows) != layout.n_band:
-        raise LayoutError(
+        raise ShapeError(
             f"got {len(band_rows)} band outputs for {layout.n_band} bands"
         )
     T = band_rows[0].shape[-1]
     for i, (rows, w) in enumerate(zip(band_rows, layout.widths)):
         if rows.shape != (2 * w, T):
-            raise LayoutError(f"band {i}: expected shape ({2 * w}, {T}), got {rows.shape}")
+            raise ShapeError(f"band {i}: expected shape ({2 * w}, {T}), got {rows.shape}")
     rows = np.concatenate(band_rows, axis=0).astype(np.float64)
     return rows[0::2] + 1j * rows[1::2]

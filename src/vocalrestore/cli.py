@@ -22,6 +22,7 @@ from . import losses as losses_mod
 from . import ranking as ranking_mod
 from .audio_io import Waveform, read_wav, write_wav
 from .errors import (
+    ConfigError,
     ConnectivityError,
     LengthMismatchError,
     MissingInputError,
@@ -127,6 +128,12 @@ def run_bench(
     weights, config: ModelConfig, seconds: float, runs: int, warmup: int, seed: int = 0,
 ) -> BenchReport:
     """Time repeated restore() calls on a seeded noise input."""
+    if not seconds > 0:
+        raise ConfigError(f"seconds must be > 0, got {seconds}")
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
+    if warmup < 0:
+        raise ConfigError(f"warmup must be >= 0, got {warmup}")
     n = int(seconds * config.sample_rate)
     rng = np.random.Generator(np.random.Philox(seed))
     wave = Waveform(0.1 * rng.standard_normal(n), config.sample_rate)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import ConfigError, SilentInputError
+from .errors import ConfigError, VocalRestoreError
 from .spectral import ComplexSpectrogram, StftParams, istft, stft
 
 CORRUPT_WINDOWS = (512, 1024, 2048)
@@ -113,7 +113,7 @@ def add_noise(wave: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     noise is looped/cropped to the signal length."""
     p_sig = float(np.mean(wave.samples ** 2))
     if p_sig <= 0.0:
-        raise SilentInputError("cannot set an SNR against a silent signal")
+        raise VocalRestoreError("cannot set an SNR against a silent signal")
     n = noise.samples
     if len(n) < len(wave):
         reps = int(np.ceil(len(wave) / max(len(n), 1)))
@@ -121,7 +121,7 @@ def add_noise(wave: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     n = n[: len(wave)]
     p_noise = float(np.mean(n ** 2))
     if p_noise <= 0.0:
-        raise SilentInputError("noise source is silent")
+        raise VocalRestoreError("noise source is silent")
     scale = np.sqrt(p_sig / (p_noise * 10.0 ** (snr_db / 10.0)))
     return Waveform(wave.samples + scale * n, wave.sample_rate)
 
@@ -292,10 +292,22 @@ class StageConfig:
         _check_bounds(self.name, **self.ranges)
 
 
+def _parse(kind, key: str, text: str):
+    """kind(text), or a ConfigError that names the spec key."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {text.strip()!r}") from exc
+
+
 @dataclass(frozen=True)
 class DegradationSpec:
     stages: tuple = ()
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def default(cls, seed: int = 0, prob: float = 0.5) -> "DegradationSpec":
@@ -336,14 +348,15 @@ class DegradationSpec:
             if current is None:
                 if key != "seed":
                     raise ConfigError(f"unexpected key {key!r} before any stage")
-                seed = int(value)
+                seed = _parse(int, key, value)
             elif key == "prob":
-                current["prob"] = float(value)
+                current["prob"] = _parse(float, f"{current['name']}.prob", value)
             else:
                 lo, sep, hi = value.partition("..")
                 if not sep:
                     raise ConfigError(f"{key}: expected a lo..hi range, got {value!r}")
-                current["ranges"][key] = (float(lo), float(hi))
+                name = f"{current['name']}.{key}"
+                current["ranges"][key] = (_parse(float, name, lo), _parse(float, name, hi))
         if current is not None:
             stages.append(StageConfig(**current))
         return cls(tuple(stages), seed)

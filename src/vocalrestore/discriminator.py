@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import InputTooShortError, ShapeError
+from .errors import ShapeError
 from .spectral import StftParams, magnitude, stft
 
 LEAKY_SLOPE = 0.1
@@ -97,7 +97,7 @@ def _conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: tuple) 
     c_out, _, kh, kw = kernel.shape
     sh, sw = stride
     if H < kh or W < kw:
-        raise InputTooShortError(f"input {H}x{W} smaller than kernel {kh}x{kw}")
+        raise ShapeError(f"input {H}x{W} smaller than kernel {kh}x{kw}")
     view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     view = view[:, ::sh, ::sw]                       # (C_in, Ho, Wo, kh, kw)
     _, Ho, Wo, _, _ = view.shape
@@ -163,7 +163,7 @@ def discriminator_forward(
     largest = max(max(config.periods) * PERIOD_CONV[0][0],
                   max(n for n, _ in config.stft_resolutions))
     if len(x) < largest:
-        raise InputTooShortError(
+        raise ShapeError(
             f"need at least {largest} samples, got {len(x)}"
         )
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .audio_io import Waveform
 from .bandsplit import BandLayout, mel_band_layout, pack_band_features, reassemble
-from .errors import FormatError, ManifestError, SampleRateError, ShapeError
+from .errors import ConfigError, FormatError, SampleRateError, ShapeError
 from .spectral import ComplexSpectrogram, StftParams, istft, stft
 from .nncore import (
     attention_core,
@@ -73,6 +73,8 @@ class ModelConfig:
                              f"{self.N}, {self.heads}, {self.L}, {self.dilation_cap}")
         if self.N % self.heads:
             raise ShapeError(f"N={self.N} not divisible by heads={self.heads}")
+        if not 0.0 <= self.eps < float("inf"):
+            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
 
     @property
     def stft_params(self) -> StftParams:
@@ -189,7 +191,7 @@ def check_weights(store: dict, config: ModelConfig) -> None:
     missing = sorted(set(manifest) - set(store))
     extra = sorted(set(store) - set(manifest))
     if missing or extra:
-        raise ManifestError(f"missing={missing[:5]} extra={extra[:5]}")
+        raise ShapeError(f"missing={missing[:5]} extra={extra[:5]}")
     for name, shape in manifest.items():
         if tuple(store[name].shape) != tuple(shape):
             raise ShapeError(
@@ -242,6 +244,8 @@ def load_weights(path) -> dict:
             name, shape, offset = e["name"], tuple(int(n) for n in e["shape"]), int(e["offset"])
             if not isinstance(name, str):
                 raise TypeError(f"name {name!r} is not a string")
+            if e["dtype"] != "f32":
+                raise ValueError(f"dtype {e['dtype']!r} is not 'f32'")
             if offset < 0:
                 raise ValueError(f"offset {offset} is negative")
             if min(shape, default=0) < 0:
@@ -251,7 +255,7 @@ def load_weights(path) -> dict:
         n = int(np.prod(shape))
         raw = payload[offset:offset + 4 * n]
         if len(raw) != 4 * n:
-            raise ManifestError(f"{path}: truncated payload for {name}")
+            raise FormatError(f"{path}: truncated payload for {name}")
         store[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
     return store
 
@@ -387,21 +391,21 @@ def generator_forward(
 ) -> ComplexSpectrogram:
     """Full generator pipeline on a complex spectrogram of matching F.
 
-    Takes the raw weights, as stored; each stage folds its own slice where
-    it uses it (see the module docstring).
+    Takes the raw weights as stored, float32 as load_weights and
+    init_weights return them; each stage folds its own slice where it uses
+    it (see the module docstring).
     """
     if X.bins.shape[0] != config.F:
         raise ShapeError(f"expected F={config.F}, got {X.bins.shape[0]}")
     layout = config.layout()
     packed = [p.astype(np.float32) for p in pack_band_features(X, layout, config.eps)]
-    w32 = {k: np.asarray(v, dtype=np.float32) for k, v in weights.items()}
 
-    H = stem(packed, w32, config)
+    H = stem(packed, weights, config)
     del packed
     for layer in range(config.L):
-        H = band_sequence_block(H, w32, config, layer)
+        H = band_sequence_block(H, weights, config, layer)
 
-    rows = [synthesis_head(H[:, i], w32, i, bw) for i, bw in enumerate(layout.widths)]
+    rows = [synthesis_head(H[:, i], weights, i, bw) for i, bw in enumerate(layout.widths)]
     return ComplexSpectrogram(reassemble(rows, layout), X.params)
 
 

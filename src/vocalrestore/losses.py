@@ -17,12 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import (
-    BranchCountError,
-    LengthMismatchError,
-    ShapeError,
-    StructureError,
-)
+from .errors import LengthMismatchError, SampleRateError, ShapeError
 from .spectral import ComplexSpectrogram, StftParams, magnitude, stft
 
 FM_EPS = 1e-8
@@ -63,17 +58,23 @@ class LossReport:
         return json.dumps({k: float(v) for k, v in sorted(asdict(self).items())})
 
 
-def wav_l1(est: Waveform, ref: Waveform) -> float:
-    """Mean absolute sample difference."""
+def _check_pair(est: Waveform, ref: Waveform) -> None:
+    """The two waveforms of a waveform-domain loss share a rate and a length."""
+    if est.sample_rate != ref.sample_rate:
+        raise SampleRateError(f"sample rates differ: {est.sample_rate} vs {ref.sample_rate} Hz")
     if len(est) != len(ref):
         raise LengthMismatchError(f"lengths differ: {len(est)} vs {len(ref)}")
+
+
+def wav_l1(est: Waveform, ref: Waveform) -> float:
+    """Mean absolute sample difference."""
+    _check_pair(est, ref)
     return float(np.mean(np.abs(est.samples - ref.samples)))
 
 
 def multi_res_spec_l1(est: Waveform, ref: Waveform) -> float:
     """Mean over DEFAULT_SPEC_RESOLUTIONS of the mean absolute magnitude difference."""
-    if len(est) != len(ref):
-        raise LengthMismatchError(f"lengths differ: {len(est)} vs {len(ref)}")
+    _check_pair(est, ref)
     terms = []
     for params in DEFAULT_SPEC_RESOLUTIONS:
         m_est = magnitude(stft(est, params))
@@ -127,7 +128,7 @@ def _branch_means(scores) -> np.ndarray:
 def hinge_d_loss(real_scores, fake_scores) -> float:
     """(1/K) sum_k E[max(0, 1 - D(y))] + E[max(0, 1 + D(y_hat))]."""
     if len(real_scores) != len(fake_scores) or len(real_scores) < 1:
-        raise BranchCountError(
+        raise ShapeError(
             f"branch counts differ: {len(real_scores)} vs {len(fake_scores)}"
         )
     total = 0.0
@@ -140,7 +141,7 @@ def hinge_d_loss(real_scores, fake_scores) -> float:
 def adv_loss(fake_scores) -> float:
     """-(1/K) sum_k E[D(y_hat)]."""
     if len(fake_scores) < 1:
-        raise BranchCountError("need at least one branch")
+        raise ShapeError("need at least one branch")
     return float(-np.mean(_branch_means(fake_scores)))
 
 
@@ -149,19 +150,19 @@ def feature_matching(real_feats, fake_feats) -> float:
     mean|phi(y) - phi(y_hat)| / (mean|phi(y)| + eps), averaged over layers
     then branches."""
     if len(real_feats) != len(fake_feats) or len(real_feats) < 1:
-        raise StructureError(
+        raise ShapeError(
             f"branch counts differ: {len(real_feats)} vs {len(fake_feats)}"
         )
     branch_terms = []
     for k, (rf, ff) in enumerate(zip(real_feats, fake_feats)):
         if len(rf) != len(ff) or len(rf) < 1:
-            raise StructureError(f"branch {k}: layer counts differ or empty")
+            raise ShapeError(f"branch {k}: layer counts differ or empty")
         layer_terms = []
         for ell, (r, f) in enumerate(zip(rf, ff)):
             r = np.asarray(r, dtype=np.float64)
             f = np.asarray(f, dtype=np.float64)
             if r.shape != f.shape:
-                raise StructureError(
+                raise ShapeError(
                     f"branch {k} layer {ell}: shapes {r.shape} vs {f.shape}"
                 )
             layer_terms.append(

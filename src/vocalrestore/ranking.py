@@ -64,15 +64,17 @@ class ComparisonSet:
             raise FormatError(
                 f"CSV header must contain {sorted(required)}, got {reader.fieldnames}"
             )
-        records = [
-            Comparison(
+        records = []
+        for row in reader:
+            missing = sorted(key for key in required if row[key] is None)
+            if missing:
+                raise FormatError(f"CSV line {reader.line_num}: no value for {', '.join(missing)}")
+            records.append(Comparison(
                 row["system_a"].strip(),
                 row["system_b"].strip(),
                 row["outcome"].strip(),
                 (row.get("category") or "").strip(),
-            )
-            for row in reader
-        ]
+            ))
         return cls(records)
 
 

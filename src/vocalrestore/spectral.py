@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import EmptyInputError, NonInvertibleError, ShapeError
+from .errors import ConfigError, ShapeError
 
 COLA_FLOOR = 1e-8
 
@@ -79,7 +79,7 @@ def stft(wave: Waveform, params: StftParams) -> ComplexSpectrogram:
     """Windowed framewise real FFT of a mono waveform."""
     x = np.asarray(wave.samples, dtype=np.float64)
     if len(x) < 1:
-        raise EmptyInputError("cannot transform an empty waveform")
+        raise ShapeError("cannot transform an empty waveform")
 
     n_fft, hop = params.n_fft, params.hop
     # center the frames; reflect padding needs at least two samples
@@ -94,7 +94,7 @@ def stft(wave: Waveform, params: StftParams) -> ComplexSpectrogram:
 def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> Waveform:
     """Weighted-overlap-add synthesis back to `length` samples.
 
-    Raises NonInvertibleError where the squared-window overlap sum falls
+    Raises ConfigError where the squared-window overlap sum falls
     below the COLA floor inside the requested output range.
     """
     params = spec.params
@@ -118,7 +118,7 @@ def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> Waveform:
 
     used = slice(offset, offset + length)
     if length and np.min(den[used]) <= COLA_FLOOR:
-        raise NonInvertibleError(
+        raise ConfigError(
             f"window/hop pair fails COLA inside output range "
             f"(min overlap {np.min(den[used]):.3g})"
         )

@@ -12,7 +12,7 @@ from vocalrestore.bandsplit import (
     pack_band_features,
     reassemble,
 )
-from vocalrestore.errors import LayoutError
+from vocalrestore.errors import ShapeError
 from vocalrestore.spectral import StftParams, stft
 
 from oracles import mel_boundary_oracle
@@ -62,11 +62,11 @@ def test_layout_property(F, n_band, sr):
 
 
 def test_layout_validation():
-    with pytest.raises(LayoutError):
+    with pytest.raises(ShapeError, match="band widths must be >= 1"):
         BandLayout((3, 0, 4), 7)
-    with pytest.raises(LayoutError):
+    with pytest.raises(ShapeError, match="widths sum to 7, expected F=8"):
         BandLayout((3, 4), 8)
-    with pytest.raises(LayoutError):
+    with pytest.raises(ShapeError, match="need 1 <= n_band <= F"):
         mel_band_layout(4, 9, 48000)
 
 
@@ -133,11 +133,11 @@ def test_reassemble_shape_errors():
     layout = BandLayout((2, 3), 5)
     good = [np.zeros((4, 7)), np.zeros((6, 7))]
     assert reassemble(good, layout).shape == (5, 7)
-    with pytest.raises(LayoutError):
+    with pytest.raises(ShapeError, match="got 1 band outputs for 2 bands"):
         reassemble(good[:1], layout)
-    with pytest.raises(LayoutError):
+    with pytest.raises(ShapeError, match=r"band 0: expected shape \(4, 7\)"):
         reassemble([np.zeros((6, 7)), np.zeros((4, 7))], layout)
-    with pytest.raises(LayoutError):
+    with pytest.raises(ShapeError, match=r"band 1: expected shape \(6, 7\)"):
         reassemble([np.zeros((4, 7)), np.zeros((6, 8))], layout)
-    with pytest.raises(LayoutError):
+    with pytest.raises(ShapeError, match=r"band 0: expected shape \(4, 7\)"):
         reassemble([np.zeros((2, 2, 7)), np.zeros((6, 7))], layout)

@@ -271,10 +271,14 @@ def _weights_bytes(manifest) -> bytes:
      "shape [-1, -2] has a negative entry"),
     (_weights_bytes([{"name": "a", "shape": [-2], "dtype": "f32", "offset": 0}]), "2",
      "shape [-2] has a negative entry"),
+    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f64", "offset": 0}]), "2",
+     "bad.bin: malformed manifest entry {'name': 'a', 'shape': [2], 'dtype': 'f64', "
+     "'offset': 0}: ValueError(\"dtype 'f64' is not 'f32'\")"),
     (None, "0", "heads"),
     (None, "two", "config key 'heads'"),
 ], ids=["ends_after_magic", "entry_without_offset", "manifest_object", "name_list",
-        "negative_offset", "negative_shape_pair", "negative_shape", "heads_0", "heads_two"])
+        "negative_offset", "negative_shape_pair", "negative_shape", "dtype_f64", "heads_0",
+        "heads_two"])
 def test_malformed_model_files(model_files, tmp_path, capsys, weights, heads, cause):
     """A malformed weights file or config exits 1 with `error: <cause>`, not a
     traceback."""
@@ -292,3 +296,46 @@ def test_malformed_model_files(model_files, tmp_path, capsys, weights, heads, ca
     assert code == 1
     assert err.startswith("error:") and cause in err, err
     assert "Traceback" not in err
+
+
+_MODEL = ["--weights", "weights.bin", "--config", "model.cfg"]
+_DEGRADE = ["degrade", "--in", "a48.wav", "--out", "o.wav"]
+_SPEC = _DEGRADE + ["--spec", "chain.spec"]
+_RESTORE_EPS = ["restore", "--in", "a16.wav", "--out", "o.wav",
+                "--weights", "weights.bin", "--config", "eps.cfg"]
+_BENCH = ["bench", *_MODEL, "--seconds", "0.1"]
+
+
+@pytest.mark.parametrize("argv, files, code, cause", [
+    (["eval", "--ref", "a16.wav", "--est", "a48.wav", "--n-fft", "256", "--hop", "128"], {},
+     EXIT_SAMPLE_RATE, "sample rates differ: 48000 vs 16000 Hz"),
+    (["rank", "--csv", "c.csv"], {"c.csv": "system_a,system_b,outcome\nx,y,a\nx,y\n"},
+     1, "CSV line 3: no value for outcome"),
+    (_SPEC, {"chain.spec": "seed = x\n"}, 1, "seed: expected int, got 'x'"),
+    (_SPEC, {"chain.spec": "[clip]\nprob = half\ndrive = 1..2\n"},
+     1, "clip.prob: expected float, got 'half'"),
+    (_SPEC, {"chain.spec": "[clip]\nprob = 1\ndrive = 1..z\n"},
+     1, "clip.drive: expected float, got 'z'"),
+    (_DEGRADE + ["--seed", "-1"], {}, 1, "seed must be >= 0, got -1"),
+    (_RESTORE_EPS, {"eps.cfg": toy_config().to_text() + "eps = nan\n"},
+     1, "eps must be finite and >= 0, got nan"),
+    (_RESTORE_EPS, {"eps.cfg": toy_config().to_text() + "eps = -1\n"},
+     1, "eps must be finite and >= 0, got -1.0"),
+    (_BENCH + ["--runs", "0"], {}, 1, "runs must be >= 1, got 0"),
+    (_BENCH + ["--runs", "1", "--warmup", "-1"], {}, 1, "warmup must be >= 0, got -1"),
+    (["bench", *_MODEL, "--seconds", "0", "--runs", "1"], {}, 1, "seconds must be > 0, got 0.0"),
+], ids=["eval_rate_mismatch", "rank_short_row", "spec_seed_x", "spec_prob_half",
+        "spec_range_z", "degrade_seed_negative", "eps_nan", "eps_negative", "bench_runs_0",
+        "bench_warmup_negative", "bench_seconds_0"])
+def test_bad_input_names_cause(model_files, tmp_path, monkeypatch, capsys, argv, files, code,
+                               cause):
+    """Each bad input exits with its documented code and one `error:` line
+    that names the cause, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    _write_noise("a16.wav", sr=16000)
+    _write_noise("a48.wav", sr=48000)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {cause}"], err

@@ -21,7 +21,7 @@ from vocalrestore.degrade import (
     spectral_corrupt,
     time_varying_gain,
 )
-from vocalrestore.errors import ConfigError, SilentInputError
+from vocalrestore.errors import ConfigError, VocalRestoreError
 
 
 SR = 48000
@@ -163,9 +163,9 @@ def test_add_noise_loops_short_noise():
 def test_add_noise_silent_inputs():
     silent = Waveform(np.zeros(1000), SR)
     noise = Waveform(pink_noise(1000, seed=0), SR)
-    with pytest.raises(SilentInputError):
+    with pytest.raises(VocalRestoreError, match="cannot set an SNR against a silent signal"):
         add_noise(silent, noise, 10.0)
-    with pytest.raises(SilentInputError):
+    with pytest.raises(VocalRestoreError, match="noise source is silent"):
         add_noise(_wave(1000), silent, 10.0)
 
 

@@ -4,7 +4,7 @@ import pytest
 from vocalrestore import generator
 from vocalrestore.audio_io import Waveform
 from vocalrestore.bandsplit import pack_band_features, reassemble
-from vocalrestore.errors import FormatError, ManifestError, SampleRateError, ShapeError
+from vocalrestore.errors import FormatError, SampleRateError, ShapeError
 from vocalrestore.generator import (
     CONVNEXT_BLOCKS_PER_LAYER,
     LAYER_SCALE_INIT,
@@ -125,11 +125,11 @@ def test_check_weights_errors():
     w = init_weights(cfg, 0)
     broken = dict(w)
     del broken["block0.attn.q.weight"]
-    with pytest.raises(ManifestError):
+    with pytest.raises(ShapeError, match=r"missing=\['block0.attn.q.weight'\] extra=\[\]"):
         check_weights(broken, cfg)
     broken = dict(w)
     broken["extra.thing"] = np.zeros(3, dtype=np.float32)
-    with pytest.raises(ManifestError):
+    with pytest.raises(ShapeError, match=r"missing=\[\] extra=\['extra.thing'\]"):
         check_weights(broken, cfg)
     broken = dict(w)
     broken["block0.attn.q.weight"] = np.zeros((3, 3), dtype=np.float32)
@@ -164,7 +164,7 @@ def test_load_weights_errors(tmp_path):
 
     trunc = tmp_path / "trunc.bin"
     trunc.write_bytes(raw[: len(raw) - 100])
-    with pytest.raises(ManifestError):
+    with pytest.raises(FormatError, match="truncated payload for"):
         load_weights(trunc)
 
     corrupt = tmp_path / "corrupt.bin"

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from vocalrestore.audio_io import Waveform
-from vocalrestore.errors import (
-    BranchCountError,
-    LengthMismatchError,
-    ShapeError,
-    StructureError,
-)
+from vocalrestore.errors import LengthMismatchError, ShapeError
 from vocalrestore.losses import (
     DEFAULT_SPEC_RESOLUTIONS,
     LossReport,
@@ -130,14 +125,14 @@ def test_hinge_d_loss_table():
     assert hinge_d_loss([2.0, 1.0], [-1.0, -3.0]) == 0.0
     # chance-level scores (all zero) give 1 + 1 = 2 per branch
     assert hinge_d_loss([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]) == 2.0
-    with pytest.raises(BranchCountError):
+    with pytest.raises(ShapeError, match="branch counts differ: 1 vs 2"):
         hinge_d_loss([0.0], [0.0, 0.0])
 
 
 def test_adv_loss_table():
     assert adv_loss([1.0]) == -1.0
     assert adv_loss([1.0, -3.0]) == 1.0
-    with pytest.raises(BranchCountError):
+    with pytest.raises(ShapeError, match="need at least one branch"):
         adv_loss([])
 
 
@@ -158,11 +153,11 @@ def test_feature_matching_scale_invariance(c):
 def test_feature_matching_zero_and_errors():
     real = [[np.ones((2, 2))]]
     assert feature_matching(real, real) == 0.0
-    with pytest.raises(StructureError):
+    with pytest.raises(ShapeError, match="branch counts differ: 1 vs 0"):
         feature_matching(real, [])
-    with pytest.raises(StructureError):
+    with pytest.raises(ShapeError, match="branch 0: layer counts differ or empty"):
         feature_matching(real, [[np.ones((2, 2)), np.ones(3)]])
-    with pytest.raises(StructureError):
+    with pytest.raises(ShapeError, match=r"branch 0 layer 0: shapes \(2, 2\) vs \(3, 2\)"):
         feature_matching(real, [[np.ones((3, 2))]])
 
 
