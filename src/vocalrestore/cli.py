@@ -58,7 +58,11 @@ def _atomic_write(path: str, write) -> None:
     """Call write(tmp) on a temp file beside path, then rename it onto path,
     so a failure never leaves a partial output behind."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    except OSError as exc:
+        # Name the output the caller gave, not the temp file beside it.
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     os.close(fd)
     try:
         write(tmp)

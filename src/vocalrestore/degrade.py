@@ -151,13 +151,11 @@ def spectral_corrupt(
     _check_bounds("spectral_corrupt", mask_fraction=mask_fraction, phase_noise_std=phase_noise_std)
     rng = _rng(seed)
     params = StftParams(n_fft=n_fft, hop=hop)
-    spec = stft(wave, params)
-    mag = np.abs(spec.bins)
-    phase = np.angle(spec.bins)
-    keep = rng.random(mag.shape) >= mask_fraction
-    mag = mag * keep
-    phase = phase + rng.normal(0.0, phase_noise_std, size=phase.shape)
-    corrupted = ComplexSpectrogram(mag * np.exp(1j * phase), params)
+    bins = stft(wave, params).bins
+    keep = rng.random(bins.shape) >= mask_fraction
+    jitter = rng.normal(0.0, phase_noise_std, size=bins.shape)
+    # |X| * keep * exp(i (angle(X) + jitter)) = X * keep * exp(i jitter).
+    corrupted = ComplexSpectrogram(bins * (keep * np.exp(1j * jitter)), params)
     return istft(corrupted, len(wave), wave.sample_rate)
 
 

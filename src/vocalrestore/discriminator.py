@@ -1,6 +1,7 @@
 """Forward-only multi-branch discriminator with spectral normalization.
 
-Branches: multi-period (waveform folded to 2-D grids, strided 2-D convs) and
+Branches: multi-period (waveform folded to period-major (p, n/p) grids, so
+each of the p phase rows is convolved along time) and
 multi-resolution STFT (magnitude spectrograms, strided 2-D convs). Every conv
 weight is divided by its largest singular value, estimated by power iteration
 with persisted left vectors.
@@ -13,14 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .spectral import StftParams, magnitude, stft
 
 LEAKY_SLOPE = 0.1
 SIGMA_FLOOR = 1e-12
 POWER_ITERS = 1
 # (kernel, stride) of every conv but the final projection, per branch kind.
-PERIOD_CONV = ((5, 1), (3, 1))
+# Period grids are period-major (p, n/p): time is the last axis of every conv
+# output, so the patch gathers copy long rows.
+PERIOD_CONV = ((1, 5), (1, 3))
 STFT_CONV = ((3, 3), (2, 2))
 
 
@@ -34,7 +37,7 @@ class DiscriminatorConfig:
         if len(set(self.periods)) != len(self.periods) or any(
             p < 2 for p in self.periods
         ):
-            raise ShapeError("periods must be distinct integers >= 2")
+            raise ConfigError("periods must be distinct integers >= 2")
         for n_fft, hop in self.stft_resolutions:
             StftParams(n_fft=n_fft, hop=hop)
 
@@ -87,12 +90,14 @@ def spectral_normalize(weight: np.ndarray, state: SpectralNormState, name: str) 
 
 
 def leaky_relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, LEAKY_SLOPE * x)
+    """max(x, slope*x), written into x (a fresh conv output)."""
+    return np.maximum(x, LEAKY_SLOPE * x, out=x)
 
 
 def _conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: tuple) -> np.ndarray:
     """Valid-mode strided 2-D convolution. x: (C_in, H, W); kernel:
-    (C_out, C_in, kh, kw). One GEMM over the im2col patch matrix."""
+    (C_out, C_in, kh, kw). One GEMM over the patch-major (C_in*kh*kw, Ho*Wo)
+    patch matrix, so the kernel needs no transposed operand."""
     c_in, H, W = x.shape
     c_out, _, kh, kw = kernel.shape
     sh, sw = stride
@@ -101,8 +106,8 @@ def _conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: tuple) 
     view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     view = view[:, ::sh, ::sw]                       # (C_in, Ho, Wo, kh, kw)
     _, Ho, Wo, _, _ = view.shape
-    cols = view.transpose(1, 2, 0, 3, 4).reshape(Ho * Wo, c_in * kh * kw)
-    out = (kernel.reshape(c_out, -1) @ cols.T).reshape(c_out, Ho, Wo)
+    cols = view.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, Ho * Wo)
+    out = (kernel.reshape(c_out, -1) @ cols).reshape(c_out, Ho, Wo)
     out += bias[:, None, None]
     return out
 
@@ -160,7 +165,7 @@ def discriminator_forward(
     if state is None:
         state = SpectralNormState()
     x = np.asarray(wave.samples, dtype=np.float64)
-    largest = max(max(config.periods) * PERIOD_CONV[0][0],
+    largest = max(max(config.periods) * PERIOD_CONV[0][1],
                   max(n for n, _ in config.stft_resolutions))
     if len(x) < largest:
         raise ShapeError(
@@ -170,7 +175,7 @@ def discriminator_forward(
     outputs = []
     for p in config.periods:
         n = (len(x) // p) * p
-        grid = x[:n].reshape(-1, p)[None]            # (1, n/p, p)
+        grid = x[:n].reshape(-1, p).T[None]          # (1, p, n/p)
         outputs.append(_run_stack(grid, f"period{p}", PERIOD_CONV, weights, config, state))
 
     for n_fft, hop in config.stft_resolutions:

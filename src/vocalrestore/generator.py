@@ -69,8 +69,8 @@ class ModelConfig:
         if not (1 <= self.n_band <= F):
             raise ShapeError(f"need 1 <= n_band <= F={F}, got {self.n_band}")
         if min(self.N, self.heads, self.L, self.dilation_cap) < 1:
-            raise ShapeError(f"N, heads, L and dilation_cap must be >= 1, got "
-                             f"{self.N}, {self.heads}, {self.L}, {self.dilation_cap}")
+            raise ConfigError(f"N, heads, L and dilation_cap must be >= 1, got "
+                              f"{self.N}, {self.heads}, {self.L}, {self.dilation_cap}")
         if self.N % self.heads:
             raise ShapeError(f"N={self.N} not divisible by heads={self.heads}")
         if not 0.0 <= self.eps < float("inf"):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import LengthMismatchError, SampleRateError, ShapeError
+from .errors import ConfigError, LengthMismatchError, SampleRateError, ShapeError
 from .spectral import ComplexSpectrogram, StftParams, magnitude, stft
 
 FM_EPS = 1e-8
@@ -40,7 +40,7 @@ class LossWeights:
     def __post_init__(self):
         for name in ("lambda_wav", "lambda_spec", "lambda_omni", "lambda_adv", "lambda_fm"):
             if getattr(self, name) < 0:
-                raise ShapeError(f"{name} must be nonnegative")
+                raise ConfigError(f"{name} must be nonnegative")
 
 
 @dataclass

@@ -69,12 +69,15 @@ class ComparisonSet:
             missing = sorted(key for key in required if row[key] is None)
             if missing:
                 raise FormatError(f"CSV line {reader.line_num}: no value for {', '.join(missing)}")
-            records.append(Comparison(
-                row["system_a"].strip(),
-                row["system_b"].strip(),
-                row["outcome"].strip(),
-                (row.get("category") or "").strip(),
-            ))
+            try:
+                records.append(Comparison(
+                    row["system_a"].strip(),
+                    row["system_b"].strip(),
+                    row["outcome"].strip(),
+                    (row.get("category") or "").strip(),
+                ))
+            except FormatError as exc:
+                raise FormatError(f"CSV line {reader.line_num}: {exc}") from None
         return cls(records)
 
 

@@ -35,9 +35,9 @@ class StftParams:
 
     def __post_init__(self):
         if self.n_fft <= 0 or self.n_fft % 2:
-            raise ShapeError(f"n_fft must be positive and even, got {self.n_fft}")
+            raise ConfigError(f"n_fft must be positive and even, got {self.n_fft}")
         if not (0 < self.hop <= self.n_fft):
-            raise ShapeError(f"need 0 < hop <= n_fft, got hop={self.hop}")
+            raise ConfigError(f"need 0 < hop <= n_fft, got hop={self.hop}")
 
     @property
     def n_bins(self) -> int:
@@ -108,22 +108,28 @@ def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> Waveform:
         )
 
     win = params.window_array()
-    frames = np.fft.irfft(spec.bins.T, n=n_fft, axis=1) * win
+    frames = np.fft.irfft(spec.bins.T, n=n_fft, axis=1)
+    frames *= win
     wsq = win ** 2
-    out = np.zeros(total)
-    den = np.zeros(total)
-    for t in range(n_frames):
-        out[t * hop:t * hop + n_fft] += frames[t]
-        den[t * hop:t * hop + n_fft] += wsq
+    # Segment j (hop samples, the last one possibly shorter) of frame t lands
+    # in hop block t + j. Adding the segments from last to first sums each
+    # sample's frames in ascending t, as a frame-by-frame loop does.
+    n_seg = -(-n_fft // hop)
+    out = np.zeros((n_frames + n_seg - 1, hop))
+    den = np.zeros((n_frames + n_seg - 1, hop))
+    for j in reversed(range(n_seg)):
+        lo, hi = j * hop, min((j + 1) * hop, n_fft)
+        out[j:j + n_frames, :hi - lo] += frames[:, lo:hi]
+        den[j:j + n_frames, :hi - lo] += wsq[lo:hi]
 
     used = slice(offset, offset + length)
-    if length and np.min(den[used]) <= COLA_FLOOR:
+    out, den = out.reshape(-1)[used], den.reshape(-1)[used]
+    if length and np.min(den) <= COLA_FLOOR:
         raise ConfigError(
             f"window/hop pair fails COLA inside output range "
-            f"(min overlap {np.min(den[used]):.3g})"
+            f"(min overlap {np.min(den):.3g})"
         )
-    safe = np.where(den > COLA_FLOOR, den, 1.0)
-    return Waveform((out / safe)[used], sample_rate)
+    return Waveform(out / den, sample_rate)
 
 
 def magnitude(spec: ComplexSpectrogram) -> np.ndarray:

@@ -61,6 +61,20 @@ def conv2d_loops(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride) ->
     return out
 
 
+def overlap_add_loops(frames: np.ndarray, window_sq: np.ndarray, hop: int):
+    """Frame-by-frame overlap-add, frames in ascending order. frames: (T, n);
+    returns the summed frames and the summed squared window, each of length
+    (T - 1) * hop + n."""
+    n_frames, n = frames.shape
+    total = (n_frames - 1) * hop + n
+    out = np.zeros(total)
+    den = np.zeros(total)
+    for t in range(n_frames):
+        out[t * hop:t * hop + n] += frames[t]
+        den[t * hop:t * hop + n] += window_sq
+    return out, den
+
+
 def depthwise_conv_loops(x: np.ndarray, kernels: np.ndarray, dilation: int) -> np.ndarray:
     """Nested-loop dilated depthwise correlation with zero padding."""
     C, T = x.shape

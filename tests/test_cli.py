@@ -324,9 +324,14 @@ _BENCH = ["bench", *_MODEL, "--seconds", "0.1"]
     (_BENCH + ["--runs", "0"], {}, 1, "runs must be >= 1, got 0"),
     (_BENCH + ["--runs", "1", "--warmup", "-1"], {}, 1, "warmup must be >= 0, got -1"),
     (["bench", *_MODEL, "--seconds", "0", "--runs", "1"], {}, 1, "seconds must be > 0, got 0.0"),
+    (["restore", "--in", "a16.wav", "--out", "nodir/o.wav", *_MODEL], {},
+     1, "[Errno 2] No such file or directory: 'nodir/o.wav'"),
+    (["rank", "--csv", "c.csv"], {"c.csv": "system_a,system_b,outcome\nx,y,a\nx,y,c\n"},
+     1, "CSV line 3: outcome must be a|b|tie, got 'c'"),
 ], ids=["eval_rate_mismatch", "rank_short_row", "spec_seed_x", "spec_prob_half",
         "spec_range_z", "degrade_seed_negative", "eps_nan", "eps_negative", "bench_runs_0",
-        "bench_warmup_negative", "bench_seconds_0"])
+        "bench_warmup_negative", "bench_seconds_0", "restore_out_dir_missing",
+        "rank_bad_outcome"])
 def test_bad_input_names_cause(model_files, tmp_path, monkeypatch, capsys, argv, files, code,
                                cause):
     """Each bad input exits with its documented code and one `error:` line

@@ -3,6 +3,7 @@ import pytest
 
 from vocalrestore.audio_io import Waveform
 from vocalrestore.discriminator import (
+    LEAKY_SLOPE,
     PERIOD_CONV,
     STFT_CONV,
     DiscriminatorConfig,
@@ -13,7 +14,7 @@ from vocalrestore.discriminator import (
     leaky_relu,
     spectral_normalize,
 )
-from vocalrestore.errors import ShapeError
+from vocalrestore.errors import ConfigError, ShapeError
 
 from oracles import conv2d_loops
 
@@ -30,11 +31,11 @@ def _wave(n, seed=0, sr=48000):
 
 
 def test_config_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="periods must be distinct integers >= 2"):
         DiscriminatorConfig(periods=(2, 2, 3))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="periods must be distinct integers >= 2"):
         DiscriminatorConfig(periods=(1, 3))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="n_fft must be positive and even, got 0"):
         DiscriminatorConfig(stft_resolutions=((0, 1),))
 
 
@@ -89,8 +90,10 @@ def test_spectral_norm_scale_invariance_direction():
 
 
 def test_leaky_relu():
+    """The result is written into the argument, a fresh conv output."""
     x = np.array([-2.0, 0.0, 3.0])
-    assert np.allclose(leaky_relu(x), [-0.2, 0.0, 3.0])
+    assert leaky_relu(x) is x
+    assert np.allclose(x, [-0.2, 0.0, 3.0])
 
 
 @pytest.mark.parametrize("kernel, stride", [
@@ -108,6 +111,30 @@ def test_conv2d_matches_loop_oracle(kernel, stride):
     want = conv2d_loops(x, w, bias, stride)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("kernel, stride", [
+    PERIOD_CONV,
+    STFT_CONV,
+    (PERIOD_CONV[0], (1, 1)),
+    (STFT_CONV[0], (1, 1)),
+])
+@pytest.mark.parametrize("c_in, extra", [(1, 0), (1, 1), (3, 1), (2, 0)])
+def test_conv2d_edge_shapes_match_loop_oracle(kernel, stride, c_in, extra):
+    """One input channel (layer 0), and inputs no wider, or one tap wider,
+    than the kernel on both axes."""
+    rng = np.random.default_rng(12 + c_in + extra)
+    kh, kw = kernel
+    x = rng.standard_normal((c_in, kh + extra, kw + extra))
+    w = rng.standard_normal((5, c_in) + kernel)
+    bias = rng.standard_normal(5)
+    want = conv2d_loops(x, w, bias, stride)
+    # The same values through a transposed, non-contiguous view.
+    strided = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    for inp in (x, strided):
+        got = _conv2d(inp, w, bias, stride)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_conv2d_input_smaller_than_kernel():
@@ -159,6 +186,32 @@ def test_period_fold_shapes():
     f2 = outs[0].features[0]
     f3 = outs[1].features[0]
     assert f2.shape != f3.shape
+
+
+def test_period_branch_matches_time_major_fold():
+    """A period branch on the (p, n/p) fold equals, transposed, the stack of
+    (5, 1) convs with stride (3, 1) on the (n/p, p) fold, run by the loop
+    oracle with the same normalized weights."""
+    w = init_discriminator_weights(SMALL, 6)
+    x = _wave(2048, seed=6)
+    outs = discriminator_forward(x, w, SMALL)
+    state = SpectralNormState()
+    for k, p in enumerate(SMALL.periods):
+        n = (len(x) // p) * p
+        grid = x.samples[:n].reshape(-1, p)[None]
+        names = [f"layer{i}" for i in range(len(SMALL.channels))] + ["final"]
+        for i, name in enumerate(names):
+            key = f"period{p}.{name}"
+            kernel = spectral_normalize(w[f"{key}.weight"].astype(np.float64), state,
+                                        f"{key}.weight").transpose(0, 1, 3, 2)
+            last = name == "final"
+            grid = conv2d_loops(grid, kernel, w[f"{key}.bias"], (1, 1) if last else (3, 1))
+            if not last:
+                grid = np.maximum(grid, LEAKY_SLOPE * grid)
+            got = outs[k].features[i].transpose(0, 2, 1)
+            assert got.shape == grid.shape
+            assert np.max(np.abs(got - grid)) < 1e-12 * max(np.max(np.abs(grid)), 1.0)
+        assert abs(outs[k].score - grid.mean()) < 1e-12
 
 
 def test_init_weights_deterministic_and_bounded():

@@ -4,7 +4,7 @@ import pytest
 from vocalrestore import generator
 from vocalrestore.audio_io import Waveform
 from vocalrestore.bandsplit import pack_band_features, reassemble
-from vocalrestore.errors import FormatError, SampleRateError, ShapeError
+from vocalrestore.errors import ConfigError, FormatError, SampleRateError, ShapeError
 from vocalrestore.generator import (
     CONVNEXT_BLOCKS_PER_LAYER,
     LAYER_SCALE_INIT,
@@ -39,7 +39,7 @@ def test_config_validation():
         toy_config(n_band=200)          # more bands than bins
     with pytest.raises(ShapeError):
         toy_config(N=10, heads=3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="N, heads, L and dilation_cap must be >= 1"):
         toy_config(L=0)
 
 
@@ -61,7 +61,7 @@ def test_config_text_round_trip():
 @pytest.mark.parametrize("key, value", [("n_fft", 4095), ("hop", 8192)])
 def test_config_rejects_bad_stft_grid(key, value):
     """An odd n_fft or a hop above n_fft fails when the config is parsed."""
-    with pytest.raises(ShapeError, match=key):
+    with pytest.raises(ConfigError, match=key):
         ModelConfig.from_text(f"{key} = {value}\n")
 
 

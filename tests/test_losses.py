@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from vocalrestore.audio_io import Waveform
-from vocalrestore.errors import LengthMismatchError, ShapeError
+from vocalrestore.errors import ConfigError, LengthMismatchError, ShapeError
 from vocalrestore.losses import (
     DEFAULT_SPEC_RESOLUTIONS,
+    FM_EPS,
     LossReport,
     LossWeights,
     adv_loss,
@@ -34,7 +35,7 @@ def test_default_weights():
     assert tuple((p.n_fft, p.hop) for p in DEFAULT_SPEC_RESOLUTIONS) == (
         (2048, 512), (1024, 256), (512, 128),
     )
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError, match="lambda_adv must be nonnegative"):
         LossWeights(lambda_adv=-0.5)
 
 
@@ -166,6 +167,25 @@ def test_feature_matching_value():
     fake = [[np.full((2, 2), 1.5)]]
     # mean|r - f| / mean|r| = 0.5 / 2
     assert abs(feature_matching(real, fake) - 0.25) < 1e-7
+
+
+def test_feature_matching_matches_plain_formula():
+    """mean|r - f| / (mean|r| + eps) per layer, averaged over layers then
+    branches; the inputs are left unchanged."""
+    rng = np.random.default_rng(21)
+    shapes = [[(4, 3, 50), (8, 3, 17), (1, 3, 15)], [(4, 20, 9), (1, 18, 7)]]
+    real = [[rng.standard_normal(s) for s in branch] for branch in shapes]
+    fake = [[r + 0.3 * rng.standard_normal(r.shape) for r in b] for b in real]
+    copies = [[r.copy() for r in b] for b in real + fake]
+    want = np.mean([
+        np.mean([np.mean(np.abs(r - f)) / (np.mean(np.abs(r)) + FM_EPS)
+                 for r, f in zip(rb, fb)])
+        for rb, fb in zip(real, fake)
+    ])
+    assert abs(feature_matching(real, fake) - want) < 1e-12
+    assert all(np.array_equal(a, b) for ab, bb in zip(real + fake, copies) for a, b in zip(ab, bb))
+    # 0-d feature "maps" are valid matching shapes too.
+    assert abs(feature_matching([[1.0]], [[0.5]]) - 0.5 / (1.0 + FM_EPS)) < 1e-12
 
 
 def test_reconstruction_and_generator_total():

@@ -61,6 +61,18 @@ def test_csv_parsing():
         ComparisonSet.from_csv("foo,bar\n1,2\n")
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("x,y,a\nx,y,c\n", "CSV line 3: outcome must be a|b|tie, got 'c'"),
+    ("x,x,a\n", "CSV line 2: invalid pair ('x', 'x')"),
+    ("x,y,a\n,y,b\n", "CSV line 3: invalid pair ('', 'y')"),
+])
+def test_csv_names_line_of_bad_record(rows, message):
+    """A row that Comparison refuses is reported with its CSV line."""
+    with pytest.raises(FormatError) as info:
+        ComparisonSet.from_csv("system_a,system_b,outcome\n" + rows)
+    assert str(info.value) == message
+
+
 def test_category_split():
     text = "system_a,system_b,outcome,category\nx,y,a,c1\nx,y,b,c2\nx,y,a,\n"
     data = ComparisonSet.from_csv(text)

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from vocalrestore.audio_io import Waveform
 from vocalrestore.errors import ConfigError, ShapeError
 from vocalrestore.generator import ModelConfig
-from vocalrestore.spectral import ComplexSpectrogram, StftParams, istft, magnitude, stft
+from vocalrestore.spectral import COLA_FLOOR, ComplexSpectrogram, StftParams, istft, magnitude, stft
 
-from oracles import naive_dft_fast
+from oracles import naive_dft_fast, overlap_add_loops
 
 
 TOY = StftParams(n_fft=256, hop=128)
@@ -48,6 +48,24 @@ def test_round_trip_property(n, seed):
     x = _wave(n, seed=seed)
     rec = istft(stft(x, TOY), n, x.sample_rate)
     assert np.max(np.abs(rec.samples - x.samples)) < 1e-9
+
+
+@pytest.mark.parametrize("n_fft, hop", [(4096, 2048), (2048, 256), (1024, 384), (256, 100)])
+def test_istft_matches_frame_loop_bitwise(n_fft, hop):
+    """The segment-wise overlap-add sums each sample's frames in the order a
+    frame-by-frame loop does, so the output is bitwise equal to the loop's."""
+    params = StftParams(n_fft=n_fft, hop=hop)
+    x = _wave(5 * n_fft + 37, seed=n_fft + hop)
+    bins = stft(x, params).bins
+    bins = bins * np.exp(1j * np.random.default_rng(hop).uniform(-3, 3, bins.shape))
+    spec = ComplexSpectrogram(bins, params)
+    window = params.window_array()
+    frames = np.fft.irfft(spec.bins.T, n=n_fft, axis=1) * window
+    out, den = overlap_add_loops(frames, window ** 2, hop)
+    used = slice(n_fft // 2, n_fft // 2 + len(x))
+    want = (out / np.where(den > COLA_FLOOR, den, 1.0))[used]
+    got = istft(spec, len(x), x.sample_rate)
+    assert np.array_equal(got.samples, want)
 
 
 def test_parseval_energy():
