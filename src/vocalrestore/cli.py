@@ -29,7 +29,8 @@ from .errors import (
     SampleRateError,
     VocalRestoreError,
 )
-from .generator import ModelConfig, check_weights, load_weights, receptive_field, restore, tile_plan
+from . import generator as generator_mod
+from .generator import ModelConfig, check_weights, load_weights, receptive_field, restore
 from .spectral import StftParams, stft
 
 restore_chunked = restore   # perfbench/tracing.py binds and times this name
@@ -134,11 +135,16 @@ def run_bench(
     """Time repeated restore() calls on a seeded noise input."""
     if not seconds > 0:
         raise ConfigError(f"seconds must be > 0, got {seconds}")
+    if not seconds * config.sample_rate < float("inf"):
+        raise ConfigError(f"seconds must be finite, got {seconds}")
+    n = int(seconds * config.sample_rate)
+    if n < 1:
+        raise ConfigError(f"seconds must cover at least one sample at "
+                          f"{config.sample_rate} Hz, got {seconds}")
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
     if warmup < 0:
         raise ConfigError(f"warmup must be >= 0, got {warmup}")
-    n = int(seconds * config.sample_rate)
     rng = np.random.Generator(np.random.Philox(seed))
     wave = Waveform(0.1 * rng.standard_normal(n), config.sample_rate)
 
@@ -171,8 +177,9 @@ def cmd_restore(args) -> int:
     elapsed = time.perf_counter() - t0
     _atomic_write(args.outfile, lambda tmp: write_wav(out, tmp))
     rtf = wave.duration / elapsed if elapsed > 0 else float("inf")
+    chunks = range(0, config.stft_params.frames(len(wave)), generator_mod.CHUNK_FRAMES)
     print(f"restored {wave.duration:.2f}s in {elapsed:.3f}s (RTF {rtf:.2f}); "
-          f"tiles={len(tile_plan(len(wave), config))} halo_frames={receptive_field(config)}")
+          f"chunks={len(chunks)} latency_frames={receptive_field(config)}")
     return EXIT_OK
 
 

@@ -45,9 +45,9 @@ from .nncore import (
 WEIGHT_MAGIC = b"SRSW0001"
 LAYER_SCALE_INIT = 1e-6
 CONVNEXT_BLOCKS_PER_LAYER = 3  # dilations {1, d, 1}
-# Core frames per restore() tile: with both R = 50 halos a tile spans 700
-# frames, so memory is bounded for any length.
-TILE_FRAMES = 600
+# Frames per restore() push: the block stack never holds more than one
+# chunk plus its carries, whatever the length.
+CHUNK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -252,6 +252,8 @@ def load_weights(path) -> dict:
                 raise ValueError(f"shape {list(shape)} has a negative entry")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed manifest entry {e!r}: {exc!r}") from exc
+        if name in store:
+            raise FormatError(f"{path}: manifest lists {name!r} twice, again in entry {e!r}")
         n = int(np.prod(shape))
         raw = payload[offset:offset + 4 * n]
         if len(raw) != 4 * n:
@@ -331,42 +333,89 @@ def _attention_path(H: np.ndarray, weights: dict, config: ModelConfig, prefix: s
     return out
 
 
-def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: int):
+def _add_frames(out, past, x, start: int) -> None:
+    """out += (past ++ x)[..., start:start + T] along time, slice by slice,
+    for T = out.shape[-1]; past None is empty."""
+    P = 0 if past is None else past.shape[-1]
+    T = out.shape[-1]
+    if start < P:
+        out[..., :P - start] += past[..., start:start + T]
+    lo = max(P - start, 0)
+    if lo < T:
+        out[..., lo:] += x[..., lo + start - P:T + start - P]
+
+
+def _frames_from(past, x, start: int) -> np.ndarray:
+    """A copy of (past ++ x)[..., start:] along time: the few boundary frames
+    a carry keeps, never a view that would hold the whole chunk."""
+    P = 0 if past is None else past.shape[-1]
+    if start >= P:
+        return x[..., start - P:].copy()
+    return np.concatenate([past[..., start:], x], axis=-1)
+
+
+def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: int,
+                   carry: dict, last: bool):
     """Stack of dilated depthwise ConvNeXT blocks over time, weights shared
-    across bands; returns H after their three residual updates. Folds: the
-    norm gain and the 1/2 of the tanh-form GLU (value and gate rows alike)
-    into pw1, the layer-scale gamma into pw2's rows and bias."""
+    across bands; returns the frames of H after their three residual updates
+    that this push completes. Folds: the norm gain and the 1/2 of the
+    tanh-form GLU (value and gate rows alike) into pw1, the layer-scale gamma
+    into pw2's rows and bias.
+
+    Each conv keeps in carry, under its weight prefix, the 2a input frames
+    that its next outputs still read, a = dilation * (k - 1) / 2 (see
+    generator_forward). Its outputs trail its input by a frames until the
+    last push, so the residual adds the input frames from a on of the carry
+    and the chunk.
+    """
     x = H
     w = weights
     for j, dil in enumerate(config.dilations(layer_index)):
         q = f"{prefix}.temporal{j}"
+        a = dil * (config.conv_kernel - 1) // 2
+        past = carry.get(q)
+        if past is None and not last:       # a fresh stream: the zeros before the start
+            past = np.zeros(x.shape[:-1] + (a,), x.dtype)
         gamma = w[f"{q}.gamma"]
         # each step rebinds u, so its input is freed before the next kernel runs
-        u = depthwise_conv1d(x, w[f"{q}.dw.kernel"], dil)
+        u = depthwise_conv1d(x, w[f"{q}.dw.kernel"], dil, past, last)
         u += w[f"{q}.dw.bias"][:, None, None]
         u = rmsnorm(u)
         u = pointwise_conv(u, w[f"{q}.pw1.weight"] * (w[f"{q}.norm.gain"] * 0.5),
                            w[f"{q}.pw1.bias"] * 0.5)
         u = glu(u)
         u = pointwise_conv(u, w[f"{q}.pw2.weight"] * gamma[:, None], w[f"{q}.pw2.bias"] * gamma)
-        u += x
+        _add_frames(u, past, x, 0 if past is None else a)
+        if not last:
+            carry[q] = _frames_from(past, x, u.shape[-1])
         x = u
     return x
 
 
 def band_sequence_block(
-    H: np.ndarray, weights: dict, config: ModelConfig, layer_index: int
+    H: np.ndarray, weights: dict, config: ModelConfig, layer_index: int,
+    carry: dict | None = None, last: bool = True,
 ) -> np.ndarray:
     """One band-sequence block: cross-band attention pathway plus within-band
     temporal pathway, both read from the block input H: (N, n_band, T). The
     temporal stream carries H; the attention pathway's output adds onto it.
-    Takes the raw weights; each pathway folds its own slice at use."""
+    Takes the raw weights; each pathway folds its own slice at use.
+
+    carry and last are generator_forward's: the block returns the frames its
+    temporal path completes, and holds the attention output of the frames
+    it has not yet emitted, so each attention frame lands on its own frame.
+    """
     if H.shape[:2] != (config.N, config.n_band):
         raise ShapeError(f"expected ({config.N}, {config.n_band}, T), got {H.shape}")
+    carry = {} if carry is None else carry
     prefix = f"block{layer_index}"
     # temporal first: the attention path, which peaks lower, holds its output
-    out = _temporal_path(H, weights, config, prefix, layer_index)
-    out += _attention_path(H, weights, config, prefix)
+    out = _temporal_path(H, weights, config, prefix, layer_index, carry, last)
+    held = carry.get(f"{prefix}.attn")
+    attention = _attention_path(H, weights, config, prefix)
+    _add_frames(out, held, attention, 0)
+    if not last:
+        carry[f"{prefix}.attn"] = _frames_from(held, attention, out.shape[-1])
     return out
 
 
@@ -387,13 +436,23 @@ def synthesis_head(H_i: np.ndarray, weights: dict, band_index: int, bw: int):
 
 
 def generator_forward(
-    X: ComplexSpectrogram, weights: dict, config: ModelConfig
+    X: ComplexSpectrogram, weights: dict, config: ModelConfig,
+    carry: dict | None = None, last: bool = True,
 ) -> ComplexSpectrogram:
     """Full generator pipeline on a complex spectrogram of matching F.
 
     Takes the raw weights as stored, float32 as load_weights and
     init_weights return them; each stage folds its own slice where it uses
     it (see the module docstring).
+
+    X may be one chunk of a longer spectrogram, pushed in order: carry (a
+    dict, empty before the first chunk) holds the frames each depthwise
+    conv and each block still need from earlier chunks, and last marks the
+    final chunk. The result holds the output frames this push completes,
+    which follow those of the previous push: they lag X by up to
+    receptive_field(config) frames, and the last push emits the rest. A
+    whole spectrogram is one push with a fresh carry that is also the
+    last, and gives X's frame count.
     """
     if X.bins.shape[0] != config.F:
         raise ShapeError(f"expected F={config.F}, got {X.bins.shape[0]}")
@@ -403,7 +462,7 @@ def generator_forward(
     H = stem(packed, weights, config)
     del packed
     for layer in range(config.L):
-        H = band_sequence_block(H, weights, config, layer)
+        H = band_sequence_block(H, weights, config, layer, carry, last)
 
     rows = [synthesis_head(H[:, i], weights, i, bw) for i, bw in enumerate(layout.widths)]
     return ComplexSpectrogram(reassemble(rows, layout), X.params)
@@ -411,35 +470,32 @@ def generator_forward(
 
 def receptive_field(config: ModelConfig) -> int:
     """Frames R on each side that an output frame of generator_forward reads:
-    the dilated depthwise convs are the only layers that mix frames."""
+    the dilated depthwise convs are the only layers that mix frames. It is
+    also the stack's latency: a pushed frame's output is complete R frames
+    later."""
     return sum(d * (config.conv_kernel - 1) // 2
                for layer in range(config.L) for d in config.dilations(layer))
 
 
-def tile_plan(n_samples: int, config: ModelConfig) -> list[tuple[int, int, int, int]]:
-    """restore()'s frame tiles for n_samples: (lo, start, stop, hi) per tile,
-    whose core frames [start, stop) are computed from input frames [lo, hi),
-    the core plus an R-frame halo on each side clipped at the signal ends."""
-    n = config.stft_params.frames(n_samples)
-    R = receptive_field(config)
-    return [
-        (max(s - R, 0), s, min(s + TILE_FRAMES, n), min(s + TILE_FRAMES + R, n))
-        for s in range(0, n, TILE_FRAMES)
-    ]
-
-
 def restore(wave: Waveform, weights: dict, config: ModelConfig) -> Waveform:
     """Waveform-to-waveform restoration: one stft, generator_forward on each
-    tile of tile_plan, one istft of the tile cores. Each core sees every frame
-    it depends on, so the output equals one forward pass for any length."""
+    CHUNK_FRAMES chunk with one carry threaded through, each push's frames
+    written in place into one (F, T) spectrogram, one istft. The carry gives
+    every frame all the frames it reads, so the output equals one forward
+    pass for any length, and memory is bounded by the chunk."""
     if wave.sample_rate != config.sample_rate:
         raise SampleRateError(
             f"waveform is {wave.sample_rate} Hz, model expects {config.sample_rate}"
         )
     X = stft(wave, config.stft_params)
-    cores = []
-    for lo, start, stop, hi in tile_plan(len(wave), config):
-        Y = generator_forward(ComplexSpectrogram(X.bins[:, lo:hi], X.params), weights, config)
-        cores.append(Y.bins[:, start - lo:stop - lo])
-    Xhat = ComplexSpectrogram(np.concatenate(cores, axis=1), X.params)
-    return istft(Xhat, len(wave), sample_rate=wave.sample_rate)
+    T, params = X.n_frames, X.params
+    bins = np.empty_like(X.bins)
+    carry: dict = {}
+    done = 0
+    for start in range(0, T, CHUNK_FRAMES):
+        chunk = ComplexSpectrogram(X.bins[:, start:start + CHUNK_FRAMES], params)
+        Y = generator_forward(chunk, weights, config, carry, start + CHUNK_FRAMES >= T)
+        bins[:, done:done + Y.n_frames] = Y.bins
+        done += Y.n_frames
+    del X, chunk            # the istft takes the input spectrogram's room
+    return istft(ComplexSpectrogram(bins, params), len(wave), sample_rate=wave.sample_rate)

@@ -57,13 +57,24 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return out
 
 
-def depthwise_conv1d(x: np.ndarray, kernels: np.ndarray, dilation: int) -> np.ndarray:
-    """Per-channel dilated correlation along time, same-length output; taps
-    that fall outside [0, T) read zeros.
+def depthwise_conv1d(
+    x: np.ndarray, kernels: np.ndarray, dilation: int, past: np.ndarray | None = None,
+    last: bool = True,
+) -> np.ndarray:
+    """Per-channel dilated correlation along time over past ++ x, keeping
+    only the outputs whose taps have all arrived.
 
     x: (C, ..., T); kernels: (C, k) with k odd, shared over the middle axes.
+    With a = dilation * (k - 1) / 2, past holds the input frames before x
+    (the caller's carry, at least a of them), or None at the signal start,
+    which reads a frames of zeros; last appends a frames of zeros for the
+    signal end. Output frame j is centred on input frame j + a of that
+    sequence. With past None and last set, this is the same-length
+    correlation whose out-of-range taps read zeros.
+
     The centre tap makes the output buffer and every other tap adds its
-    shifted slice in place, so no padded copy of x is made.
+    shifted slices of past and x in place, so no padded or joined copy of
+    either is made.
     """
     kernels = np.asarray(kernels)
     if kernels.ndim != 2 or kernels.shape[0] != x.shape[0]:
@@ -76,15 +87,25 @@ def depthwise_conv1d(x: np.ndarray, kernels: np.ndarray, dilation: int) -> np.nd
     if dilation < 1:
         raise ConfigError(f"dilation must be >= 1, got {dilation}")
     centre = (k - 1) // 2
-    T = x.shape[-1]
+    a = centre * dilation
+    if past is not None and (past.shape[:-1] != x.shape[:-1] or past.shape[-1] < a):
+        raise ShapeError(f"past {past.shape} must be {x.shape[:-1]} by at least {a} frames")
+    # (array, start) of each real piece of the sequence; zeros fill the rest
+    pieces = [(x, a)] if past is None else [(past, 0), (x, past.shape[-1])]
+    end = pieces[-1][1] + x.shape[-1]
+    T = max(end + (a if last else 0) - 2 * a, 0)
     kernels = kernels.reshape(kernels.shape + (1,) * (x.ndim - 1))
-    out = x * kernels[:, centre]
-    for j in range(k):
-        off = (j - centre) * dilation
-        if off < 0 and -off < T:
-            out[..., -off:] += kernels[:, j] * x[..., :T + off]
-        elif 0 < off < T:
-            out[..., :T - off] += kernels[:, j] * x[..., off:]
+    out = np.empty(x.shape[:-1] + (T,), np.result_type(x, kernels))
+    for j in (centre, *range(centre), *range(centre + 1, k)):
+        off = j * dilation
+        for piece, start in pieces:
+            lo, hi = max(start - off, 0), min(start + piece.shape[-1] - off, T)
+            if lo < hi:
+                src = piece[..., lo + off - start:hi + off - start]
+                if j == centre:
+                    np.multiply(src, kernels[:, j], out=out[..., lo:hi])
+                else:
+                    out[..., lo:hi] += kernels[:, j] * src
     return out
 
 

@@ -42,8 +42,8 @@ def test_restore_round_trip(model_files, tmp_path, capsys, monkeypatch):
     wpath, cpath, cfg = model_files
     inp, out = str(tmp_path / "in.wav"), str(tmp_path / "out.wav")
     _write_noise(inp, sr=cfg.sample_rate)
-    # 32 frames in tiles of 16: the report gives the plan restore() ran
-    monkeypatch.setattr(generator, "TILE_FRAMES", 16)
+    # 32 frames in chunks of 16: the report gives the pushes restore() ran
+    monkeypatch.setattr(generator, "CHUNK_FRAMES", 16)
     code = main(["restore", "--in", inp, "--out", out,
                  "--weights", wpath, "--config", cpath])
     assert code == EXIT_OK
@@ -51,7 +51,7 @@ def test_restore_round_trip(model_files, tmp_path, capsys, monkeypatch):
     assert len(restored) == 4000
     report = capsys.readouterr().out
     assert "RTF" in report
-    assert "tiles=2 halo_frames=10" in report
+    assert "chunks=2 latency_frames=10" in report
 
 
 def test_restore_missing_input(model_files, tmp_path):
@@ -324,13 +324,17 @@ _BENCH = ["bench", *_MODEL, "--seconds", "0.1"]
     (_BENCH + ["--runs", "0"], {}, 1, "runs must be >= 1, got 0"),
     (_BENCH + ["--runs", "1", "--warmup", "-1"], {}, 1, "warmup must be >= 0, got -1"),
     (["bench", *_MODEL, "--seconds", "0", "--runs", "1"], {}, 1, "seconds must be > 0, got 0.0"),
+    (["bench", *_MODEL, "--seconds", "inf", "--runs", "1"], {}, 1, "seconds must be finite, got inf"),
+    (["bench", *_MODEL, "--seconds", "1e-6", "--runs", "1"], {}, 1,
+     "seconds must cover at least one sample at 16000 Hz, got 1e-06"),
     (["restore", "--in", "a16.wav", "--out", "nodir/o.wav", *_MODEL], {},
      1, "[Errno 2] No such file or directory: 'nodir/o.wav'"),
     (["rank", "--csv", "c.csv"], {"c.csv": "system_a,system_b,outcome\nx,y,a\nx,y,c\n"},
      1, "CSV line 3: outcome must be a|b|tie, got 'c'"),
 ], ids=["eval_rate_mismatch", "rank_short_row", "spec_seed_x", "spec_prob_half",
         "spec_range_z", "degrade_seed_negative", "eps_nan", "eps_negative", "bench_runs_0",
-        "bench_warmup_negative", "bench_seconds_0", "restore_out_dir_missing",
+        "bench_warmup_negative", "bench_seconds_0", "bench_seconds_inf",
+        "bench_seconds_under_one_sample", "restore_out_dir_missing",
         "rank_bad_outcome"])
 def test_bad_input_names_cause(model_files, tmp_path, monkeypatch, capsys, argv, files, code,
                                cause):

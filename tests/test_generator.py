@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,6 @@ from vocalrestore.generator import (
     save_weights,
     stem,
     synthesis_head,
-    tile_plan,
     toy_config,
 )
 from vocalrestore.nncore import RMSNORM_DELTA
@@ -171,6 +173,17 @@ def test_load_weights_errors(tmp_path):
     corrupt.write_bytes(raw[:8] + raw[8:12] + b"{" * (len(raw) - 12))
     with pytest.raises(FormatError):
         load_weights(corrupt)
+
+    # a second q entry at k's offset would otherwise load k's bytes as q
+    (mlen,) = struct.unpack("<I", raw[8:12])
+    entries = json.loads(raw[12:12 + mlen])
+    k_entry = next(e for e in entries if e["name"] == "block0.attn.k.weight")
+    entries.append(dict(k_entry, name="block0.attn.q.weight"))
+    text = json.dumps(entries).encode()
+    dup = tmp_path / "dup.bin"
+    dup.write_bytes(WEIGHT_MAGIC + struct.pack("<I", len(text)) + text + raw[12 + mlen:])
+    with pytest.raises(FormatError, match=r"dup\.bin: manifest lists 'block0\.attn\.q\.weight' twice"):
+        load_weights(dup)
 
 
 def _packed(cfg, seed=0, n=2000):
@@ -520,25 +533,44 @@ def _single_pass(x, w, cfg):
     return istft(generator_forward(X, w, cfg), len(x), sample_rate=x.sample_rate)
 
 
-def test_restore_tiles_match_single_pass(monkeypatch):
-    """Halo-tiled restore() equals one forward pass over the whole input,
-    including a last core shorter than the halo; an input that fits one tile
-    gives the single pass bit for bit."""
+def test_restore_chunks_match_single_pass(monkeypatch):
+    """restore() in chunks, one carry threaded through every push, equals one
+    forward pass over the whole input for 16-, 7- and 1-frame chunks (the
+    last two shorter than some convs' look-ahead, so those emit nothing on
+    some pushes); an input that fits one chunk gives the single pass bit for
+    bit."""
     cfg = toy_config()
     w = _gamma_weights(cfg, 1, 0.5)
-    R = receptive_field(cfg)
-    monkeypatch.setattr(generator, "TILE_FRAMES", 16)
     x = _wave(86 * cfg.hop + 37, seed=1, sr=cfg.sample_rate)    # 87 frames
-    plan = tile_plan(len(x), cfg)
-    assert len(plan) == 6 and plan[-1][2] - plan[-1][1] < R
-    # contiguous cores, each with an R-frame halo clipped at the ends
-    assert [p[1] for p in plan] == [0] + [p[2] for p in plan[:-1]] and plan[-1][2] == 87
-    for lo, start, stop, hi in plan:
-        assert start - lo == min(R, start) and hi - stop == min(R, 87 - stop)
     ref = _single_pass(x, w, cfg).samples
-    out = restore(x, w, cfg).samples
-    assert np.max(np.abs(out - ref)) <= 1e-6 * np.sqrt(np.mean(ref**2))
+    for chunk in (16, 7, 1):
+        monkeypatch.setattr(generator, "CHUNK_FRAMES", chunk)
+        out = restore(x, w, cfg).samples
+        assert np.max(np.abs(out - ref)) <= 1e-6 * np.sqrt(np.mean(ref**2)), chunk
 
+    monkeypatch.setattr(generator, "CHUNK_FRAMES", 16)
     short = Waveform(x.samples[: 15 * cfg.hop], x.sample_rate)  # 16 frames
-    assert len(tile_plan(len(short), cfg)) == 1
     assert np.array_equal(restore(short, w, cfg).samples, _single_pass(short, w, cfg).samples)
+
+
+def test_forward_carry_keeps_boundary_frames():
+    """Pushed in 16-frame chunks, generator_forward emits each frame once,
+    R = receptive_field frames behind its input until the last push flushes
+    the rest; between pushes each conv keeps dilation * (k - 1) input frames
+    and each block the attention frames its temporal path has yet to emit."""
+    cfg = toy_config()
+    w = _gamma_weights(cfg, 2, 0.5)
+    R = receptive_field(cfg)
+    X = stft(_wave(86 * cfg.hop, seed=3, sr=cfg.sample_rate), cfg.stft_params)  # 87 frames
+    carry, emitted = {}, []
+    for start in range(0, 80, 16):
+        chunk = ComplexSpectrogram(X.bins[:, start:start + 16], X.params)
+        emitted.append(generator_forward(chunk, w, cfg, carry, last=False).n_frames)
+        for layer in range(cfg.L):
+            reach = [d * (cfg.conv_kernel - 1) // 2 for d in cfg.dilations(layer)]
+            for j, a in enumerate(reach):
+                assert carry[f"block{layer}.temporal{j}"].shape[-1] == 2 * a
+            assert carry[f"block{layer}.attn"].shape[-1] == sum(reach)
+    chunk = ComplexSpectrogram(X.bins[:, 80:], X.params)
+    emitted.append(generator_forward(chunk, w, cfg, carry, last=True).n_frames)
+    assert emitted == [16 - R, 16, 16, 16, 16, 7 + R]

@@ -141,6 +141,30 @@ def test_depthwise_conv_trim_bitwise(dilation):
             assert np.array_equal(out[:, b], depthwise_conv_loops(x[:, b], kernels, dilation))
 
 
+@pytest.mark.parametrize("dilation", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_depthwise_conv_carried_pushes_bitwise(dilation, k):
+    """Pushed in pieces, each push reading the carry of input frames the
+    later outputs still need, the conv emits every frame of the one-push
+    output once and bit for bit, for pushes shorter than its reach too."""
+    x = _rng(12).standard_normal((3, 2, 40))
+    kernels = _rng(13).standard_normal((3, k))
+    whole = depthwise_conv1d(x, kernels, dilation)
+    a = (k - 1) // 2 * dilation
+    for sizes in ([40], [13, 27], [1] * 40, [5, 1, 2, 9, 23]):
+        past, outs, start = np.zeros((3, 2, a)), [], 0
+        for i, n in enumerate(sizes):
+            piece = x[..., start:start + n]
+            out = depthwise_conv1d(piece, kernels, dilation, past, last=i == len(sizes) - 1)
+            # the frames later outputs read: the reach on both sides of the next one
+            seq = np.concatenate([past, piece], axis=-1)
+            past = seq[..., out.shape[-1]:]
+            assert past.shape[-1] <= 2 * a or i == len(sizes) - 1
+            outs.append(out)
+            start += n
+        assert np.array_equal(np.concatenate(outs, axis=-1), whole), sizes
+
+
 def test_depthwise_conv_errors():
     x = np.zeros((3, 10))
     with pytest.raises(ConfigError):
@@ -149,6 +173,11 @@ def test_depthwise_conv_errors():
         depthwise_conv1d(x, np.zeros((3, 3)), dilation=0)
     with pytest.raises(ShapeError):
         depthwise_conv1d(x, np.zeros((2, 3)), 1)
+    # a carry shorter than the reach would leave outputs unwritten
+    with pytest.raises(ShapeError, match="at least 2 frames"):
+        depthwise_conv1d(x, np.zeros((3, 3)), 2, past=np.zeros((3, 1)))
+    with pytest.raises(ShapeError):
+        depthwise_conv1d(x, np.zeros((3, 3)), 1, past=np.zeros((2, 1)))
 
 
 def test_glu():

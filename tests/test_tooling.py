@@ -69,17 +69,15 @@ def test_tracer_install_uninstall(monkeypatch):
     assert calls["discriminator.spectral_normalize"] == dcfg.branch_count * (len(dcfg.channels) + 1)
 
 
-def test_tracer_sees_every_tile(monkeypatch):
-    """A multi-tile restore through the CLI's traced name runs one traced
-    generator_forward per tile, and the frame counter adds up each tile's
-    halo work: T + 2R(tiles - 1) when no halo is clipped short."""
+def test_tracer_sees_every_chunk(monkeypatch):
+    """A chunked restore through the CLI's traced name runs one traced
+    generator_forward per chunk, and the frame counter counts each input
+    frame once: the carry recomputes none."""
     tracing = _load_tracing(monkeypatch)
-    monkeypatch.setattr(generator, "TILE_FRAMES", 16)
+    monkeypatch.setattr(generator, "CHUNK_FRAMES", 16)
     cfg = generator.toy_config()
     x = Waveform(0.1 * np.random.default_rng(1).standard_normal(59 * cfg.hop),
-                 cfg.sample_rate)                      # 60 frames: cores 16, 16, 16, 12
-    tiles = len(generator.tile_plan(len(x), cfg))
-    R = generator.receptive_field(cfg)
+                 cfg.sample_rate)                      # 60 frames: chunks 16, 16, 16, 12
     tracer = tracing.Tracer()
     tracer.install(vocalrestore)
     try:
@@ -88,8 +86,9 @@ def test_tracer_sees_every_tile(monkeypatch):
     finally:
         tracer.uninstall()
     calls = {name: agg["calls"] for name, agg in tracer.layer_totals()[0].items()}
-    assert tiles == 4
+    chunks = 4
     assert calls["generator.restore_chunked"] == 1
-    assert calls["generator.forward"] == tiles
-    assert calls["generator.block"] == tiles * cfg.L
-    assert tracer.counts["generator.frames_computed"] == 60 + 2 * R * (tiles - 1)
+    assert calls["generator.forward"] == chunks
+    assert calls["generator.block"] == chunks * cfg.L
+    assert calls["nncore.depthwise_conv1d"] == chunks * cfg.L * generator.CONVNEXT_BLOCKS_PER_LAYER
+    assert tracer.counts["generator.frames_computed"] == 60
