@@ -1,9 +1,9 @@
 """End-to-end band-split generator: stem, band-sequence blocks, synthesis
 heads, reassembly, plus weight init/serialization and waveform restoration.
 
-The network runs in float32 (deployment precision) from the stem to the
-synthesis heads; the STFT, band packing and reassembly stay in float64. All
-operations are deterministic.
+The network runs in the weights' dtype (float32 as stored) from the stem to
+the synthesis heads; the STFT, band packing and reassembly stay in float64.
+All operations are deterministic.
 
 The stage functions take the weights as stored. The per-channel factors that
 sit next to a 1x1 conv are folded into that conv where it is used, so no
@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,18 +60,20 @@ class ModelConfig:
     N: int = 128
     L: int = 6
     heads: int = 4
-    conv_kernel: int = 3
-    dilation_cap: int = 8
-    ff_expansion: int = 2
     eps: float = 1e-8
+    # Fixed by the architecture, not set by a .cfg: class constants, not
+    # fields, still read as config.conv_kernel (perfbench's FLOP count does).
+    conv_kernel: ClassVar[int] = 3
+    dilation_cap: ClassVar[int] = 8
+    ff_expansion: ClassVar[int] = 2
 
     def __post_init__(self):
         F = self.F   # builds stft_params: rejects an odd n_fft or hop > n_fft
         if not (1 <= self.n_band <= F):
             raise ShapeError(f"need 1 <= n_band <= F={F}, got {self.n_band}")
-        if min(self.N, self.heads, self.L, self.dilation_cap) < 1:
-            raise ConfigError(f"N, heads, L and dilation_cap must be >= 1, got "
-                              f"{self.N}, {self.heads}, {self.L}, {self.dilation_cap}")
+        if min(self.N, self.heads, self.L) < 1:
+            raise ConfigError(f"N, heads and L must be >= 1, got "
+                              f"{self.N}, {self.heads}, {self.L}")
         if self.N % self.heads:
             raise ShapeError(f"N={self.N} not divisible by heads={self.heads}")
         if not 0.0 <= self.eps < float("inf"):
@@ -97,6 +100,7 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
+        names = {f.name for f in fields(cls)}
         kwargs = {}
         for line in text.splitlines():
             line = line.strip()
@@ -104,8 +108,10 @@ class ModelConfig:
                 continue
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in cls.__dataclass_fields__:
+            if key not in names:
                 raise FormatError(f"unknown config key {key!r}")
+            if key in kwargs:
+                raise FormatError(f"config key {key!r} is listed twice")
             try:
                 kwargs[key] = float(value) if key == "eps" else int(value)
             except ValueError as exc:
@@ -441,9 +447,10 @@ def generator_forward(
 ) -> ComplexSpectrogram:
     """Full generator pipeline on a complex spectrogram of matching F.
 
-    Takes the raw weights as stored, float32 as load_weights and
-    init_weights return them; each stage folds its own slice where it uses
-    it (see the module docstring).
+    Takes the raw weights as stored and runs in their dtype (float32 as
+    load_weights and init_weights return them; float64 weights give a
+    float64 forward); each stage folds its own slice where it uses it (see
+    the module docstring).
 
     X may be one chunk of a longer spectrogram, pushed in order: carry (a
     dict, empty before the first chunk) holds the frames each depthwise
@@ -457,7 +464,8 @@ def generator_forward(
     if X.bins.shape[0] != config.F:
         raise ShapeError(f"expected F={config.F}, got {X.bins.shape[0]}")
     layout = config.layout()
-    packed = [p.astype(np.float32) for p in pack_band_features(X, layout, config.eps)]
+    dtype = weights["stem.band0.proj.weight"].dtype
+    packed = [p.astype(dtype) for p in pack_band_features(X, layout, config.eps)]
 
     H = stem(packed, weights, config)
     del packed

@@ -1,6 +1,9 @@
 import json
 import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from vocalrestore.cli import (
     main,
     run_bench,
 )
-from vocalrestore.generator import init_weights, save_weights, toy_config
+from vocalrestore.generator import ModelConfig, init_weights, save_weights, toy_config
 
 
 @pytest.fixture()
@@ -259,35 +262,42 @@ def _weights_bytes(manifest) -> bytes:
     return generator.WEIGHT_MAGIC + struct.pack("<I", len(text)) + text + bytes(16)
 
 
-@pytest.mark.parametrize("weights, heads, cause", [
-    (generator.WEIGHT_MAGIC, "2", "ends before the manifest length"),
-    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32"}]), "2", "KeyError('offset')"),
-    (_weights_bytes({"a": {"shape": [2], "offset": 0}}), "2", "manifest is a JSON dict"),
-    (_weights_bytes([{"name": ["a"], "shape": [2], "dtype": "f32", "offset": 0}]), "2",
+@pytest.mark.parametrize("weights, heads, extra, cause", [
+    (generator.WEIGHT_MAGIC, "2", "", "ends before the manifest length"),
+    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32"}]), "2", "",
+     "KeyError('offset')"),
+    (_weights_bytes({"a": {"shape": [2], "offset": 0}}), "2", "", "manifest is a JSON dict"),
+    (_weights_bytes([{"name": ["a"], "shape": [2], "dtype": "f32", "offset": 0}]), "2", "",
      "name ['a'] is not a string"),
-    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32", "offset": -16}]), "2",
+    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32", "offset": -16}]), "2", "",
      "offset -16 is negative"),
-    (_weights_bytes([{"name": "a", "shape": [-1, -2], "dtype": "f32", "offset": 0}]), "2",
+    (_weights_bytes([{"name": "a", "shape": [-1, -2], "dtype": "f32", "offset": 0}]), "2", "",
      "shape [-1, -2] has a negative entry"),
-    (_weights_bytes([{"name": "a", "shape": [-2], "dtype": "f32", "offset": 0}]), "2",
+    (_weights_bytes([{"name": "a", "shape": [-2], "dtype": "f32", "offset": 0}]), "2", "",
      "shape [-2] has a negative entry"),
-    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f64", "offset": 0}]), "2",
+    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f64", "offset": 0}]), "2", "",
      "bad.bin: malformed manifest entry {'name': 'a', 'shape': [2], 'dtype': 'f64', "
      "'offset': 0}: ValueError(\"dtype 'f64' is not 'f32'\")"),
-    (None, "0", "heads"),
-    (None, "two", "config key 'heads'"),
+    (None, "0", "", "heads"),
+    (None, "two", "", "config key 'heads'"),
+    (None, "2", "conv_kernel = 3\n", "unknown config key 'conv_kernel'"),
+    (None, "2", "dilation_cap = 8\n", "unknown config key 'dilation_cap'"),
+    (None, "2", "ff_expansion = 2\n", "unknown config key 'ff_expansion'"),
+    (None, "2", "N = 32\n", "config key 'N' is listed twice"),
 ], ids=["ends_after_magic", "entry_without_offset", "manifest_object", "name_list",
         "negative_offset", "negative_shape_pair", "negative_shape", "dtype_f64", "heads_0",
-        "heads_two"])
-def test_malformed_model_files(model_files, tmp_path, capsys, weights, heads, cause):
-    """A malformed weights file or config exits 1 with `error: <cause>`, not a
-    traceback."""
+        "heads_two", "removed_conv_kernel", "removed_dilation_cap", "removed_ff_expansion",
+        "repeated_key"])
+def test_malformed_model_files(model_files, tmp_path, capsys, weights, heads, extra, cause):
+    """A malformed weights file or config (`heads` set, `extra` lines
+    appended) exits 1 with `error: <cause>`, not a traceback."""
     wpath, cpath, cfg = model_files
     if weights is not None:
         wpath = tmp_path / "bad.bin"
         wpath.write_bytes(weights)
     cpath = tmp_path / "bad.cfg"
-    cpath.write_text(cfg.to_text().replace(f"heads = {cfg.heads}\n", f"heads = {heads}\n"))
+    cpath.write_text(cfg.to_text().replace(f"heads = {cfg.heads}\n", f"heads = {heads}\n")
+                     + extra)
     inp = str(tmp_path / "in.wav")
     _write_noise(inp, sr=cfg.sample_rate)
     code = main(["restore", "--in", inp, "--out", str(tmp_path / "o.wav"),
@@ -306,6 +316,12 @@ _RESTORE_EPS = ["restore", "--in", "a16.wav", "--out", "o.wav",
 _BENCH = ["bench", *_MODEL, "--seconds", "0.1"]
 
 
+def _with_eps(value):
+    """The toy config text with its one eps line set to value."""
+    cfg = toy_config()
+    return cfg.to_text().replace(f"eps = {cfg.eps}\n", f"eps = {value}\n")
+
+
 @pytest.mark.parametrize("argv, files, code, cause", [
     (["eval", "--ref", "a16.wav", "--est", "a48.wav", "--n-fft", "256", "--hop", "128"], {},
      EXIT_SAMPLE_RATE, "sample rates differ: 48000 vs 16000 Hz"),
@@ -317,9 +333,9 @@ _BENCH = ["bench", *_MODEL, "--seconds", "0.1"]
     (_SPEC, {"chain.spec": "[clip]\nprob = 1\ndrive = 1..z\n"},
      1, "clip.drive: expected float, got 'z'"),
     (_DEGRADE + ["--seed", "-1"], {}, 1, "seed must be >= 0, got -1"),
-    (_RESTORE_EPS, {"eps.cfg": toy_config().to_text() + "eps = nan\n"},
+    (_RESTORE_EPS, {"eps.cfg": _with_eps("nan")},
      1, "eps must be finite and >= 0, got nan"),
-    (_RESTORE_EPS, {"eps.cfg": toy_config().to_text() + "eps = -1\n"},
+    (_RESTORE_EPS, {"eps.cfg": _with_eps("-1")},
      1, "eps must be finite and >= 0, got -1.0"),
     (_BENCH + ["--runs", "0"], {}, 1, "runs must be >= 1, got 0"),
     (_BENCH + ["--runs", "1", "--warmup", "-1"], {}, 1, "warmup must be >= 0, got -1"),
@@ -348,3 +364,34 @@ def test_bad_input_names_cause(model_files, tmp_path, monkeypatch, capsys, argv,
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {cause}"], err
+
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run_script(name, *args, cwd):
+    env = dict(os.environ)
+    src = str(SCRIPTS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_make_model_script_writes_a_restorable_model(tmp_path):
+    """scripts/make_model.py writes a weights file and a .cfg that restore
+    loads and runs."""
+    done = _run_script("make_model.py", "--preset", "toy", "--seed", "0",
+                       "--weights", "m.bin", "--config", "m.cfg", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert ModelConfig.from_text((tmp_path / "m.cfg").read_text()) == toy_config()
+    inp = str(tmp_path / "in.wav")
+    _write_noise(inp, sr=toy_config().sample_rate)
+    assert main(["restore", "--in", inp, "--out", str(tmp_path / "o.wav"),
+                 "--weights", str(tmp_path / "m.bin"),
+                 "--config", str(tmp_path / "m.cfg")]) == EXIT_OK
+
+
+def test_demo_pipeline_script_runs(tmp_path):
+    done = _run_script("demo_pipeline.py", "--seconds", "0.5", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "restored" in done.stdout

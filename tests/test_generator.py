@@ -22,7 +22,6 @@ from vocalrestore.generator import (
     receptive_field,
     restore,
     save_weights,
-    stem,
     synthesis_head,
     toy_config,
 )
@@ -41,7 +40,7 @@ def test_config_validation():
         toy_config(n_band=200)          # more bands than bins
     with pytest.raises(ShapeError):
         toy_config(N=10, heads=3)
-    with pytest.raises(ConfigError, match="N, heads, L and dilation_cap must be >= 1"):
+    with pytest.raises(ConfigError, match="N, heads and L must be >= 1"):
         toy_config(L=0)
 
 
@@ -54,10 +53,24 @@ def test_dilation_schedule():
 
 
 def test_config_text_round_trip():
-    cfg = toy_config(n_band=4, eps=1e-7, dilation_cap=4)
+    cfg = toy_config(n_band=4, eps=1e-7)
     assert ModelConfig.from_text(cfg.to_text()) == cfg
     with pytest.raises(FormatError):
         ModelConfig.from_text("nonsense_key = 3\n")
+
+
+@pytest.mark.parametrize("line, cause", [
+    ("conv_kernel = 3", "unknown config key 'conv_kernel'"),
+    ("dilation_cap = 8", "unknown config key 'dilation_cap'"),
+    ("ff_expansion = 2", "unknown config key 'ff_expansion'"),
+    ("N = 32", "config key 'N' is listed twice"),
+])
+def test_config_refuses_what_it_cannot_apply(line, cause):
+    """The architecture's constants are not config fields, and a key set
+    twice has no one value: either is refused by name, not passed on to the
+    constructor or settled by the last line."""
+    with pytest.raises(FormatError, match=cause):
+        ModelConfig.from_text(toy_config().to_text() + line + "\n")
 
 
 @pytest.mark.parametrize("key, value", [("n_fft", 4095), ("hop", 8192)])
@@ -364,38 +377,32 @@ def test_forward_shape_and_determinism():
         generator_forward(spec, w, toy_config(n_fft=512, hop=256))
 
 
-def test_stack_stays_float32():
-    """On float32 input the block stack and the heads compute in float32:
-    no kernel promotes to float64 (RoPE tables, attention scale)."""
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_stack_keeps_weights_dtype(dtype):
+    """With weights and input in one dtype, the block stack and the heads
+    compute in it: no kernel promotes float32 to float64 (RoPE tables,
+    attention scale) or demotes float64."""
     cfg = toy_config()
-    w = {k: v.astype(np.float32) for k, v in _gamma_weights(cfg, 3, 0.5).items()}
-    H = np.random.default_rng(12).standard_normal((cfg.N, cfg.n_band, 9)).astype(np.float32)
+    w = {k: v.astype(dtype) for k, v in _gamma_weights(cfg, 3, 0.5).items()}
+    H = np.random.default_rng(12).standard_normal((cfg.N, cfg.n_band, 9)).astype(dtype)
     for layer in range(cfg.L):
         H = band_sequence_block(H, w, cfg, layer)
-        assert H.dtype == np.float32
+        assert H.dtype == dtype
     for i, bw in enumerate(cfg.layout().widths):
-        assert synthesis_head(H[:, i], w, i, bw).dtype == np.float32
+        assert synthesis_head(H[:, i], w, i, bw).dtype == dtype
 
 
 def test_forward_matches_float64_reference():
-    """generator_forward against the same stem -> blocks -> heads ->
-    reassemble chain run on float64 weights and packed features, at the full
-    config with the temporal path live: within 1e-5 of the output RMS."""
+    """generator_forward on the float32 weights against generator_forward on
+    the same weights cast to float64, which runs the whole forward in
+    float64, at the full config with the temporal path live: within 1e-5 of
+    the output RMS."""
     cfg = ModelConfig()
     w = _gamma_weights(cfg, 0, 0.5)
     X = stft(_wave(2 * cfg.sample_rate, seed=9, sr=cfg.sample_rate),
              StftParams(n_fft=cfg.n_fft, hop=cfg.hop))
     out = generator_forward(X, w, cfg).bins
-
-    w64 = {k: v.astype(np.float64) for k, v in w.items()}
-    layout = cfg.layout()
-    H = stem(pack_band_features(X, layout, cfg.eps), w64, cfg)   # float64 features
-    for layer in range(cfg.L):
-        H = band_sequence_block(H, w64, cfg, layer)
-    assert H.dtype == np.float64
-    ref = reassemble(
-        [synthesis_head(H[:, i], w64, i, bw) for i, bw in enumerate(layout.widths)], layout
-    )
+    ref = generator_forward(X, {k: v.astype(np.float64) for k, v in w.items()}, cfg).bins
     rms = np.sqrt(np.mean(np.abs(ref) ** 2))
     assert np.max(np.abs(out - ref)) <= 1e-5 * rms
 
@@ -551,6 +558,22 @@ def test_restore_chunks_match_single_pass(monkeypatch):
     monkeypatch.setattr(generator, "CHUNK_FRAMES", 16)
     short = Waveform(x.samples[: 15 * cfg.hop], x.sample_rate)  # 16 frames
     assert np.array_equal(restore(short, w, cfg).samples, _single_pass(short, w, cfg).samples)
+
+
+@pytest.mark.parametrize("seed", [1, 10])
+def test_restore_chunks_match_single_pass_float64(monkeypatch, seed):
+    """The same check on float64 weights, so the forward runs in float64: the
+    chunked output equals the single pass to rounding (1e-12 of the RMS), so
+    the carry itself is exact; the float32 check's 1e-6 is the GEMMs
+    rounding differently at other column counts."""
+    cfg = toy_config()
+    w = {k: v.astype(np.float64) for k, v in _gamma_weights(cfg, seed, 0.5).items()}
+    x = _wave(86 * cfg.hop + 37, seed=seed, sr=cfg.sample_rate)    # 87 frames
+    ref = _single_pass(x, w, cfg).samples
+    for chunk in (16, 7, 1):
+        monkeypatch.setattr(generator, "CHUNK_FRAMES", chunk)
+        out = restore(x, w, cfg).samples
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2)), chunk
 
 
 def test_forward_carry_keeps_boundary_frames():
