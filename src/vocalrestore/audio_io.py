@@ -1,8 +1,8 @@
 """Mono WAV reading/writing and the canonical in-memory waveform type.
 
-Supports RIFF/WAVE with PCM 16-bit, PCM 24-bit, and IEEE float-32 encodings,
-single channel only. Amplitudes are never clamped on read; the degradation
-pipeline relies on super-unit headroom internally.
+Reads RIFF/WAVE with PCM 16-bit, PCM 24-bit, and IEEE float-32 encodings,
+single channel only, and writes IEEE float-32. Amplitudes are never
+clamped; the degradation pipeline relies on super-unit headroom internally.
 """
 
 from __future__ import annotations
@@ -115,33 +115,15 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, sample_rate)
 
 
-def write_wav(wave: Waveform, path, encoding: str = "float32") -> None:
-    """Write a mono WAV file.
-
-    encoding 'pcm16' clamps to [-1, 1 - 2**-15] then quantizes; 'float32'
-    stores samples bit-exactly as IEEE float-32.
-    """
-    if encoding == "pcm16":
-        clamped = np.clip(wave.samples, -1.0, 1.0 - 2.0 ** -15)
-        payload = np.round(clamped * 32768.0).astype("<i2").tobytes()
-        audio_format, bits = _FMT_PCM, 16
-    elif encoding == "float32":
-        payload = wave.samples.astype("<f4").tobytes()
-        audio_format, bits = _FMT_IEEE_FLOAT, 32
-    else:
-        raise FormatError(f"unsupported encoding {encoding!r}")
-
-    block_align = bits // 8
-    byte_rate = wave.sample_rate * block_align
-    fmt = struct.pack(
-        "<HHIIHH", audio_format, 1, wave.sample_rate, byte_rate, block_align, bits
-    )
+def write_wav(wave: Waveform, path) -> None:
+    """Write a mono IEEE float-32 WAV file, storing float32 samples bit-exactly."""
+    payload = wave.samples.astype("<f4").tobytes()
+    # 4-byte samples: block align 4, and the data chunk needs no pad byte.
+    fmt = struct.pack("<HHIIHH", _FMT_IEEE_FLOAT, 1, wave.sample_rate, 4 * wave.sample_rate, 4, 32)
     body = (
         b"WAVE"
         + b"fmt " + struct.pack("<I", len(fmt)) + fmt
         + b"data" + struct.pack("<I", len(payload)) + payload
     )
-    if len(payload) & 1:
-        body += b"\x00"
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)

@@ -69,6 +69,8 @@ def mel_band_layout(F: int, n_band: int, sample_rate: int) -> BandLayout:
     """
     if not (1 <= n_band <= F):
         raise ShapeError(f"need 1 <= n_band <= F, got n_band={n_band}, F={F}")
+    if sample_rate < 1:
+        raise ConfigError(f"sample_rate must be >= 1, got {sample_rate}")
     mel_pts = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_band + 1)
     hz = mel_to_hz(mel_pts)
     real = np.diff(hz / (sample_rate / 2.0) * F)   # increasing real widths

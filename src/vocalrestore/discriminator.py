@@ -1,21 +1,23 @@
 """Forward-only multi-branch discriminator with spectral normalization.
 
 Branches: multi-period (waveform folded to period-major (p, n/p) grids, so
-each of the p phase rows is convolved along time) and
-multi-resolution STFT (magnitude spectrograms, strided 2-D convs). Every conv
-weight is divided by its largest singular value, estimated by power iteration
-with persisted left vectors.
+each of the p phase rows is convolved along time) and multi-resolution STFT
+(magnitude spectrograms on the spectral loss's grids, strided 2-D convs).
+The branches are fixed, and DiscriminatorConfig.branches lists them once.
+Every conv weight is divided by its largest singular value, estimated by
+power iteration with persisted left vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import ConfigError, ShapeError
-from .spectral import StftParams, magnitude, stft
+from .errors import ShapeError
+from .spectral import SPEC_RESOLUTIONS, StftParams, magnitude, stft
 
 LEAKY_SLOPE = 0.1
 SIGMA_FLOOR = 1e-12
@@ -29,21 +31,36 @@ STFT_CONV = ((3, 3), (2, 2))
 
 @dataclass(frozen=True)
 class DiscriminatorConfig:
-    periods: tuple = (2, 3, 5, 7, 11)
-    stft_resolutions: tuple = ((2048, 512), (1024, 256), (512, 128))
-    channels: tuple = (8, 16, 32)
+    """The one discriminator: HiFi-GAN's periods and the spectral loss's
+    STFT grids. It has no fields; its functions take it as their config."""
 
-    def __post_init__(self):
-        if len(set(self.periods)) != len(self.periods) or any(
-            p < 2 for p in self.periods
-        ):
-            raise ConfigError("periods must be distinct integers >= 2")
-        for n_fft, hop in self.stft_resolutions:
-            StftParams(n_fft=n_fft, hop=hop)
+    periods: ClassVar[tuple] = (2, 3, 5, 7, 11)
+    stft_resolutions: ClassVar[tuple] = SPEC_RESOLUTIONS
+    channels: ClassVar[tuple] = (8, 16, 32)
+    # (name, conv, period p or STFT grid of the input) per branch, in
+    # weight-draw and output order.
+    branches: ClassVar[tuple] = tuple(
+        [(f"period{p}", PERIOD_CONV, p) for p in periods]
+        + [(f"stft{s.n_fft}_{s.hop}", STFT_CONV, s) for s in stft_resolutions]
+    )
 
-    @property
-    def branch_count(self) -> int:
-        return len(self.periods) + len(self.stft_resolutions)
+
+def _min_samples(conv: tuple, source) -> int:
+    """Fewest samples one branch runs on (15360 for the 2048/512 grid's 31
+    frames). Walked back from the final projection's kernel through the
+    strided layers, its grid needs `cols` columns: a period-p fold has
+    n // p of them, an STFT grid 1 + n // hop. The heights (p rows,
+    n_fft/2 + 1 bins) meet every kernel's."""
+    (_, kw), (_, sw) = conv
+    cols = kw
+    for _ in DiscriminatorConfig.channels:
+        cols = (cols - 1) * sw + kw
+    if isinstance(source, StftParams):
+        return (cols - 1) * source.hop
+    return cols * source
+
+
+MIN_SAMPLES = max(_min_samples(conv, source) for _, conv, source in DiscriminatorConfig.branches)
 
 
 @dataclass
@@ -55,17 +72,12 @@ class BranchOutput:
 class SpectralNormState:
     """Persisted power-iteration vectors, keyed by parameter name.
 
-    Forward passes mutate this state; concurrent callers must clone it or
-    serialize access.
+    Forward passes mutate this state; concurrent callers must each hold
+    their own or serialize access.
     """
 
     def __init__(self):
         self.vectors: dict[str, np.ndarray] = {}
-
-    def clone(self) -> "SpectralNormState":
-        out = SpectralNormState()
-        out.vectors = {k: v.copy() for k, v in self.vectors.items()}
-        return out
 
 
 def spectral_normalize(weight: np.ndarray, state: SpectralNormState, name: str) -> np.ndarray:
@@ -112,23 +124,20 @@ def _conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, stride: tuple) 
     return out
 
 
-def _layer_table(config: DiscriminatorConfig, kernel: tuple) -> list:
+def _layer_table(kernel: tuple) -> list:
     """(layer name, weight shape) per conv of one branch, in weight-draw
     order. The last entry is the final projection: stride 1, no activation."""
-    widths = (1,) + tuple(config.channels) + (1,)
-    names = [f"layer{i}" for i in range(len(config.channels))] + ["final"]
+    widths = (1, *DiscriminatorConfig.channels, 1)
+    names = [f"layer{i}" for i in range(len(widths) - 2)] + ["final"]
     return [(name, (widths[k + 1], widths[k]) + kernel) for k, name in enumerate(names)]
 
 
 def init_discriminator_weights(config: DiscriminatorConfig, seed: int) -> dict:
     """Seeded uniform +-sqrt(1/fan_in) conv weights, zero biases."""
     rng = np.random.Generator(np.random.Philox(seed))
-    branches = [(f"period{p}", PERIOD_CONV) for p in config.periods] + [
-        (f"stft{n_fft}_{hop}", STFT_CONV) for n_fft, hop in config.stft_resolutions
-    ]
     store: dict[str, np.ndarray] = {}
-    for branch, (kernel, _) in branches:
-        for name, shape in _layer_table(config, kernel):
+    for branch, (kernel, _), _ in config.branches:
+        for name, shape in _layer_table(kernel):
             bound = np.sqrt(1.0 / np.prod(shape[1:]))
             store[f"{branch}.{name}.weight"] = rng.uniform(
                 -bound, bound, shape
@@ -137,9 +146,18 @@ def init_discriminator_weights(config: DiscriminatorConfig, seed: int) -> dict:
     return store
 
 
-def _run_stack(x, branch, conv, weights, config, state) -> BranchOutput:
+def _grid(wave: Waveform, source) -> np.ndarray:
+    """A branch's (1, H, W) input: the magnitude spectrogram on an STFT grid,
+    or the period-major (p, n/p) fold of the samples for a period p."""
+    if isinstance(source, StftParams):
+        return magnitude(stft(wave, source))[None]
+    n = (len(wave) // source) * source
+    return wave.samples[:n].reshape(-1, source).T[None]
+
+
+def _run_stack(x, branch, conv, weights, state) -> BranchOutput:
     kernel, stride = conv
-    layers = _layer_table(config, kernel)
+    layers = _layer_table(kernel)
     last = len(layers) - 1
     feats = []
     for i, (name, _) in enumerate(layers):
@@ -164,24 +182,7 @@ def discriminator_forward(
     """One BranchOutput (scalar score + per-layer feature maps) per branch."""
     if state is None:
         state = SpectralNormState()
-    x = np.asarray(wave.samples, dtype=np.float64)
-    largest = max(max(config.periods) * PERIOD_CONV[0][1],
-                  max(n for n, _ in config.stft_resolutions))
-    if len(x) < largest:
-        raise ShapeError(
-            f"need at least {largest} samples, got {len(x)}"
-        )
-
-    outputs = []
-    for p in config.periods:
-        n = (len(x) // p) * p
-        grid = x[:n].reshape(-1, p).T[None]          # (1, p, n/p)
-        outputs.append(_run_stack(grid, f"period{p}", PERIOD_CONV, weights, config, state))
-
-    for n_fft, hop in config.stft_resolutions:
-        spec = stft(wave, StftParams(n_fft=n_fft, hop=hop))
-        grid = magnitude(spec)[None]
-        outputs.append(
-            _run_stack(grid, f"stft{n_fft}_{hop}", STFT_CONV, weights, config, state)
-        )
-    return outputs
+    if len(wave) < MIN_SAMPLES:
+        raise ShapeError(f"need at least {MIN_SAMPLES} samples, got {len(wave)}")
+    return [_run_stack(_grid(wave, source), branch, conv, weights, state)
+            for branch, conv, source in config.branches]

@@ -68,6 +68,8 @@ class ModelConfig:
     ff_expansion: ClassVar[int] = 2
 
     def __post_init__(self):
+        if self.sample_rate < 1:
+            raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
         F = self.F   # builds stft_params: rejects an odd n_fft or hop > n_fft
         if not (1 <= self.n_band <= F):
             raise ShapeError(f"need 1 <= n_band <= F={F}, got {self.n_band}")

@@ -11,22 +11,15 @@ to any specific external implementation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import Waveform
 from .errors import ConfigError, LengthMismatchError, SampleRateError, ShapeError
-from .spectral import ComplexSpectrogram, StftParams, magnitude, stft
+from .spectral import SPEC_RESOLUTIONS, ComplexSpectrogram, magnitude, stft
 
 FM_EPS = 1e-8
-
-DEFAULT_SPEC_RESOLUTIONS = (
-    StftParams(n_fft=2048, hop=512),
-    StftParams(n_fft=1024, hop=256),
-    StftParams(n_fft=512, hop=128),
-)
 
 
 @dataclass(frozen=True)
@@ -54,9 +47,6 @@ class LossReport:
     fm: float = 0.0
     g_total: float = 0.0
 
-    def to_json(self) -> str:
-        return json.dumps({k: float(v) for k, v in sorted(asdict(self).items())})
-
 
 def _check_pair(est: Waveform, ref: Waveform) -> None:
     """The two waveforms of a waveform-domain loss share a rate and a length."""
@@ -73,10 +63,10 @@ def wav_l1(est: Waveform, ref: Waveform) -> float:
 
 
 def multi_res_spec_l1(est: Waveform, ref: Waveform) -> float:
-    """Mean over DEFAULT_SPEC_RESOLUTIONS of the mean absolute magnitude difference."""
+    """Mean over SPEC_RESOLUTIONS of the mean absolute magnitude difference."""
     _check_pair(est, ref)
     terms = []
-    for params in DEFAULT_SPEC_RESOLUTIONS:
+    for params in SPEC_RESOLUTIONS:
         m_est = magnitude(stft(est, params))
         m_ref = magnitude(stft(ref, params))
         terms.append(np.mean(np.abs(m_est - m_ref)))

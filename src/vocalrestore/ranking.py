@@ -117,36 +117,19 @@ def _win_matrix(data: ComparisonSet):
     return systems, W
 
 
-def _connected_components(systems, adj):
-    n = len(systems)
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        comp = []
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(systems[u])
-            for v in range(n):
-                if adj[u, v] and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        components.append(comp)
-    return components
-
-
 def fit_bradley_terry(data: ComparisonSet) -> StrengthTable:
     """MM fixed-point fit of Bradley-Terry strengths with half-win ties."""
     systems, W = _win_matrix(data)
     if len(systems) < 2:
         raise DegenerateError("need at least two systems")
     T = W + W.T
-    components = _connected_components(systems, T > 0)
-    if len(components) > 1:
-        raise ConnectivityError(components)
+    # Imported here: the restore path, which never ranks, loads no scipy.sparse.
+    from scipy.sparse.csgraph import connected_components
+
+    n_comp, labels = connected_components(T > 0, directed=False)
+    if n_comp > 1:
+        raise ConnectivityError(
+            [[s for s, k in zip(systems, labels) if k == c] for c in range(n_comp)])
 
     wins = W.sum(axis=1)
     losses = W.sum(axis=0)

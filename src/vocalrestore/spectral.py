@@ -6,7 +6,8 @@ normalization, which reconstructs exactly wherever the squared-window
 overlap sum is bounded away from zero.
 
 Transforms run in 64-bit floats throughout. The model's analysis grid is
-ModelConfig.stft_params.
+ModelConfig.stft_params; SPEC_RESOLUTIONS are the grids the multi-resolution
+spectral loss and the discriminator's STFT branches share.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ class StftParams:
     def frames(self, n_samples: int) -> int:
         """Number of frames stft() gives for n_samples >= 1 samples."""
         return 1 + n_samples // self.hop
+
+
+SPEC_RESOLUTIONS = (
+    StftParams(n_fft=2048, hop=512),
+    StftParams(n_fft=1024, hop=256),
+    StftParams(n_fft=512, hop=128),
+)
 
 
 @dataclass(frozen=True)

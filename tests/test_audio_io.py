@@ -14,6 +14,18 @@ def _rand(n, seed=0):
     return np.clip(np.random.default_rng(seed).standard_normal(n) * 0.3, -0.99, 0.99)
 
 
+def _pcm_wav(path, ints, bits, channels=1, sr=48000):
+    """A hand-built integer PCM WAV file: `ints` as little-endian bits-bit
+    samples, interleaved over `channels`."""
+    width = bits // 8
+    data = b"".join(struct.pack("<i", int(v))[:width] for v in ints)
+    fmt = struct.pack("<HHIIHH", 1, channels, sr, sr * channels * width, channels * width, bits)
+    body = b"WAVEfmt " + struct.pack("<I", 16) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return path
+
+
 def test_waveform_validation():
     with pytest.raises(ShapeError, match="expected 1-D sample buffer"):
         Waveform(np.zeros((2, 10)), 48000)
@@ -26,18 +38,21 @@ def test_waveform_validation():
 def test_float32_round_trip(tmp_path):
     x = _rand(1000).astype(np.float32).astype(np.float64)
     path = tmp_path / "a.wav"
-    write_wav(Waveform(x, 48000), path, encoding="float32")
+    write_wav(Waveform(x, 48000), path)
     back = read_wav(path)
     assert back.sample_rate == 48000
     assert np.array_equal(back.samples, x)
 
 
 def test_pcm16_round_trip(tmp_path):
+    """Samples quantized to a hand-built 16-bit file decode with 2^-15
+    scaling, within one step of the originals."""
     x = _rand(1000, seed=4)
-    path = tmp_path / "a.wav"
-    write_wav(Waveform(x, 16000), path, encoding="pcm16")
-    back = read_wav(path)
+    back = read_wav(_pcm_wav(tmp_path / "a.wav", np.round(x * 32768.0), 16, sr=16000))
+    assert back.sample_rate == 16000
     assert np.max(np.abs(back.samples - x)) <= 1.0 / 32768 + 1e-12
+    extremes = read_wav(_pcm_wav(tmp_path / "e.wav", [-32768, 32767], 16))
+    assert np.array_equal(extremes.samples, [-1.0, 1.0 - 2.0**-15])
 
 
 @given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=20))
@@ -51,25 +66,10 @@ def test_round_trip_property(n, seed):
     assert np.array_equal(back.samples, x) and len(back) == n
 
 
-def test_pcm16_clamps_extremes(tmp_path):
-    path = tmp_path / "c.wav"
-    write_wav(Waveform(np.array([-2.0, 2.0, 1.0, -1.0]), 8000), path, encoding="pcm16")
-    back = read_wav(path)
-    assert back.samples.min() >= -1.0
-    assert back.samples.max() <= 1.0 - 2.0**-15 + 1e-12
-
-
 def test_pcm24(tmp_path):
     """Hand-written 24-bit file decodes with 2^-23 scaling."""
     vals = [0, 1 << 22, -(1 << 22), (1 << 23) - 1]
-    data = b"".join(struct.pack("<i", v)[:3] for v in vals)
-    fmt = struct.pack("<HHIIHH", 1, 1, 48000, 48000 * 3, 3, 24)
-    body = b"WAVEfmt " + struct.pack("<I", 16) + fmt
-    body += b"data" + struct.pack("<I", len(data)) + data
-    raw = b"RIFF" + struct.pack("<I", len(body)) + body
-    path = tmp_path / "d.wav"
-    path.write_bytes(raw)
-    back = read_wav(path)
+    back = read_wav(_pcm_wav(tmp_path / "d.wav", vals, 24))
     assert np.allclose(back.samples, np.array(vals) / float(1 << 23))
 
 
@@ -95,11 +95,6 @@ def test_truncated_data(tmp_path):
 
 
 def test_stereo_rejected(tmp_path):
-    data = struct.pack("<4h", 0, 0, 0, 0)
-    fmt = struct.pack("<HHIIHH", 1, 2, 48000, 48000 * 4, 4, 16)
-    body = b"WAVEfmt " + struct.pack("<I", 16) + fmt
-    body += b"data" + struct.pack("<I", len(data)) + data
-    path = tmp_path / "s.wav"
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    path = _pcm_wav(tmp_path / "s.wav", [0, 0, 0, 0], 16, channels=2)
     with pytest.raises(FormatError, match="expected mono, got 2 channels"):
         read_wav(path)

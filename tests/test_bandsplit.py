@@ -12,7 +12,7 @@ from vocalrestore.bandsplit import (
     pack_band_features,
     reassemble,
 )
-from vocalrestore.errors import ShapeError
+from vocalrestore.errors import ConfigError, ShapeError
 from vocalrestore.spectral import StftParams, stft
 
 from oracles import mel_boundary_oracle
@@ -68,6 +68,9 @@ def test_layout_validation():
         BandLayout((3, 4), 8)
     with pytest.raises(ShapeError, match="need 1 <= n_band <= F"):
         mel_band_layout(4, 9, 48000)
+    for rate in (0, -16000):      # NaN mel widths: the prefix loop would never end
+        with pytest.raises(ConfigError, match=f"sample_rate must be >= 1, got {rate}"):
+            mel_band_layout(129, 8, rate)
 
 
 def test_boundaries_and_slices():

@@ -262,42 +262,46 @@ def _weights_bytes(manifest) -> bytes:
     return generator.WEIGHT_MAGIC + struct.pack("<I", len(text)) + text + bytes(16)
 
 
-@pytest.mark.parametrize("weights, heads, extra, cause", [
-    (generator.WEIGHT_MAGIC, "2", "", "ends before the manifest length"),
-    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32"}]), "2", "",
+@pytest.mark.parametrize("weights, line, extra, cause", [
+    (generator.WEIGHT_MAGIC, None, "", "ends before the manifest length"),
+    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32"}]), None, "",
      "KeyError('offset')"),
-    (_weights_bytes({"a": {"shape": [2], "offset": 0}}), "2", "", "manifest is a JSON dict"),
-    (_weights_bytes([{"name": ["a"], "shape": [2], "dtype": "f32", "offset": 0}]), "2", "",
+    (_weights_bytes({"a": {"shape": [2], "offset": 0}}), None, "", "manifest is a JSON dict"),
+    (_weights_bytes([{"name": ["a"], "shape": [2], "dtype": "f32", "offset": 0}]), None, "",
      "name ['a'] is not a string"),
-    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32", "offset": -16}]), "2", "",
+    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f32", "offset": -16}]), None, "",
      "offset -16 is negative"),
-    (_weights_bytes([{"name": "a", "shape": [-1, -2], "dtype": "f32", "offset": 0}]), "2", "",
+    (_weights_bytes([{"name": "a", "shape": [-1, -2], "dtype": "f32", "offset": 0}]), None, "",
      "shape [-1, -2] has a negative entry"),
-    (_weights_bytes([{"name": "a", "shape": [-2], "dtype": "f32", "offset": 0}]), "2", "",
+    (_weights_bytes([{"name": "a", "shape": [-2], "dtype": "f32", "offset": 0}]), None, "",
      "shape [-2] has a negative entry"),
-    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f64", "offset": 0}]), "2", "",
+    (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f64", "offset": 0}]), None, "",
      "bad.bin: malformed manifest entry {'name': 'a', 'shape': [2], 'dtype': 'f64', "
      "'offset': 0}: ValueError(\"dtype 'f64' is not 'f32'\")"),
-    (None, "0", "", "heads"),
-    (None, "two", "", "config key 'heads'"),
-    (None, "2", "conv_kernel = 3\n", "unknown config key 'conv_kernel'"),
-    (None, "2", "dilation_cap = 8\n", "unknown config key 'dilation_cap'"),
-    (None, "2", "ff_expansion = 2\n", "unknown config key 'ff_expansion'"),
-    (None, "2", "N = 32\n", "config key 'N' is listed twice"),
+    (None, "heads = 0", "", "heads"),
+    (None, "heads = two", "", "config key 'heads'"),
+    (None, None, "conv_kernel = 3\n", "unknown config key 'conv_kernel'"),
+    (None, None, "dilation_cap = 8\n", "unknown config key 'dilation_cap'"),
+    (None, None, "ff_expansion = 2\n", "unknown config key 'ff_expansion'"),
+    (None, None, "N = 32\n", "config key 'N' is listed twice"),
+    (None, "sample_rate = 0", "", "sample_rate must be >= 1, got 0"),
 ], ids=["ends_after_magic", "entry_without_offset", "manifest_object", "name_list",
         "negative_offset", "negative_shape_pair", "negative_shape", "dtype_f64", "heads_0",
         "heads_two", "removed_conv_kernel", "removed_dilation_cap", "removed_ff_expansion",
-        "repeated_key"])
-def test_malformed_model_files(model_files, tmp_path, capsys, weights, heads, extra, cause):
-    """A malformed weights file or config (`heads` set, `extra` lines
-    appended) exits 1 with `error: <cause>`, not a traceback."""
+        "repeated_key", "sample_rate_0"])
+def test_malformed_model_files(model_files, tmp_path, capsys, weights, line, extra, cause):
+    """A malformed weights file or config (`line` in place of its key's line,
+    `extra` lines appended) exits 1 with `error: <cause>`, not a traceback."""
     wpath, cpath, cfg = model_files
     if weights is not None:
         wpath = tmp_path / "bad.bin"
         wpath.write_bytes(weights)
     cpath = tmp_path / "bad.cfg"
-    cpath.write_text(cfg.to_text().replace(f"heads = {cfg.heads}\n", f"heads = {heads}\n")
-                     + extra)
+    text = cfg.to_text()
+    if line is not None:
+        key = line.partition(" =")[0]
+        text = text.replace(f"{key} = {getattr(cfg, key)}\n", f"{line}\n")
+    cpath.write_text(text + extra)
     inp = str(tmp_path / "in.wav")
     _write_noise(inp, sr=cfg.sample_rate)
     code = main(["restore", "--in", inp, "--out", str(tmp_path / "o.wav"),

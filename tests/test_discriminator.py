@@ -1,47 +1,52 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from vocalrestore.audio_io import Waveform
 from vocalrestore.discriminator import (
     LEAKY_SLOPE,
+    MIN_SAMPLES,
     PERIOD_CONV,
     STFT_CONV,
     DiscriminatorConfig,
     SpectralNormState,
     _conv2d,
+    _grid,
+    _run_stack,
     discriminator_forward,
     init_discriminator_weights,
     leaky_relu,
     spectral_normalize,
 )
-from vocalrestore.errors import ConfigError, ShapeError
+from vocalrestore.errors import ShapeError
+from vocalrestore.spectral import SPEC_RESOLUTIONS
 
 from oracles import conv2d_loops
 
 
-SMALL = DiscriminatorConfig(
-    periods=(2, 3),
-    stft_resolutions=((256, 64), (128, 32)),
-    channels=(4, 8),
-)
+CONFIG = DiscriminatorConfig()
 
 
 def _wave(n, seed=0, sr=48000):
     return Waveform(0.3 * np.random.default_rng(seed).standard_normal(n), sr)
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError, match="periods must be distinct integers >= 2"):
-        DiscriminatorConfig(periods=(2, 2, 3))
-    with pytest.raises(ConfigError, match="periods must be distinct integers >= 2"):
-        DiscriminatorConfig(periods=(1, 3))
-    with pytest.raises(ConfigError, match="n_fft must be positive and even, got 0"):
-        DiscriminatorConfig(stft_resolutions=((0, 1),))
+def test_config_has_no_fields():
+    """Periods, grids and widths are constants; the STFT grids are the
+    spectral loss's."""
+    assert fields(DiscriminatorConfig) == ()
+    with pytest.raises(TypeError):
+        DiscriminatorConfig(periods=(2, 3))
+    assert CONFIG.stft_resolutions is SPEC_RESOLUTIONS
+    assert (CONFIG.periods, CONFIG.channels) == ((2, 3, 5, 7, 11), (8, 16, 32))
 
 
 def test_branch_count():
-    assert DiscriminatorConfig().branch_count == 8
-    assert SMALL.branch_count == 4
+    """Eight branches, named and ordered as the weights are drawn."""
+    assert [name for name, _, _ in CONFIG.branches] == [
+        "period2", "period3", "period5", "period7", "period11",
+        "stft2048_512", "stft1024_256", "stft512_128"]
 
 
 def _normalize_repeatedly(w, calls):
@@ -68,7 +73,7 @@ def test_spectral_norm_against_svd():
 
 def test_spectral_norm_state_warm_start():
     """Persisted u vectors make repeated single-iteration estimates converge
-    to the true sigma, and cloning decouples the state."""
+    to the true sigma, and each call replaces the vector of its name."""
     rng = np.random.default_rng(2)
     w = rng.standard_normal((10, 14))
     sigma = np.linalg.svd(w, compute_uv=False)[0]
@@ -77,9 +82,9 @@ def test_spectral_norm_state_warm_start():
         normed = spectral_normalize(w, state, "w")
     assert np.max(np.abs(normed - w / sigma)) < 1e-10
 
-    frozen = state.clone()
+    before = state.vectors["w"]
     spectral_normalize(rng.standard_normal((10, 14)), state, "w")
-    assert not np.array_equal(frozen.vectors["w"], state.vectors["w"])
+    assert not np.array_equal(before, state.vectors["w"])
 
 
 def test_spectral_norm_scale_invariance_direction():
@@ -143,21 +148,21 @@ def test_conv2d_input_smaller_than_kernel():
 
 
 def test_forward_structure():
-    w = init_discriminator_weights(SMALL, 0)
-    outs = discriminator_forward(_wave(2048), w, SMALL)
-    assert len(outs) == SMALL.branch_count
+    w = init_discriminator_weights(CONFIG, 0)
+    outs = discriminator_forward(_wave(MIN_SAMPLES), w, CONFIG)
+    assert len(outs) == len(CONFIG.branches)
     for out in outs:
         assert isinstance(out.score, float) and np.isfinite(out.score)
         # one feature map per conv layer plus the final projection
-        assert len(out.features) == len(SMALL.channels) + 1
+        assert len(out.features) == len(CONFIG.channels) + 1
         assert out.features[-1].shape[0] == 1
 
 
 def test_forward_deterministic():
-    w = init_discriminator_weights(SMALL, 0)
-    x = _wave(2048, seed=4)
-    a = discriminator_forward(x, w, SMALL)
-    b = discriminator_forward(x, w, SMALL)
+    w = init_discriminator_weights(CONFIG, 0)
+    x = _wave(MIN_SAMPLES, seed=4)
+    a = discriminator_forward(x, w, CONFIG)
+    b = discriminator_forward(x, w, CONFIG)
     for oa, ob in zip(a, b):
         assert oa.score == ob.score
         assert all(np.array_equal(fa, fb) for fa, fb in zip(oa.features, ob.features))
@@ -166,40 +171,47 @@ def test_forward_deterministic():
 def test_forward_zero_input():
     """Silence still produces finite scores (biases are zero, so they are
     exactly zero)."""
-    w = init_discriminator_weights(SMALL, 1)
-    outs = discriminator_forward(Waveform(np.zeros(2048), 48000), w, SMALL)
+    w = init_discriminator_weights(CONFIG, 1)
+    outs = discriminator_forward(Waveform(np.zeros(MIN_SAMPLES), 48000), w, CONFIG)
     for out in outs:
         assert out.score == 0.0
 
 
 def test_forward_too_short():
-    w = init_discriminator_weights(SMALL, 0)
-    with pytest.raises(ShapeError, match="need at least .* samples, got 64"):
-        discriminator_forward(_wave(64), w, SMALL)
+    """The guard's bound is the real minimum: the 2048/512 branch needs 31
+    frames to get through three stride-2 3x3 convs and the 3x3 final conv."""
+    assert MIN_SAMPLES == 15360
+    w = init_discriminator_weights(CONFIG, 0)
+    for n in (64, 15359):
+        with pytest.raises(ShapeError, match=f"^need at least 15360 samples, got {n}$"):
+            discriminator_forward(_wave(n), w, CONFIG)
+    outs = discriminator_forward(_wave(15360), w, CONFIG)
+    assert outs[5].features[-1].shape[2] == 1    # stft2048_512: one frame column left
 
 
 def test_period_fold_shapes():
     """Period branches see a (period, n//period) grid: different periods
     give different first feature shapes."""
-    w = init_discriminator_weights(SMALL, 2)
-    outs = discriminator_forward(_wave(2048, seed=5), w, SMALL)
+    w = init_discriminator_weights(CONFIG, 2)
+    outs = discriminator_forward(_wave(MIN_SAMPLES, seed=5), w, CONFIG)
     f2 = outs[0].features[0]
     f3 = outs[1].features[0]
     assert f2.shape != f3.shape
+    assert (f2.shape[1], f3.shape[1]) == (2, 3)
 
 
 def test_period_branch_matches_time_major_fold():
     """A period branch on the (p, n/p) fold equals, transposed, the stack of
     (5, 1) convs with stride (3, 1) on the (n/p, p) fold, run by the loop
-    oracle with the same normalized weights."""
-    w = init_discriminator_weights(SMALL, 6)
-    x = _wave(2048, seed=6)
-    outs = discriminator_forward(x, w, SMALL)
-    state = SpectralNormState()
-    for k, p in enumerate(SMALL.periods):
-        n = (len(x) // p) * p
-        grid = x.samples[:n].reshape(-1, p)[None]
-        names = [f"layer{i}" for i in range(len(SMALL.channels))] + ["final"]
+    oracle with the same normalized weights. Each branch runs on a short
+    fold (the fewest columns it takes, plus a few) to keep the loops fast."""
+    w = init_discriminator_weights(CONFIG, 6)
+    names = [f"layer{i}" for i in range(len(CONFIG.channels))] + ["final"]
+    for p in CONFIG.periods:
+        x = _wave(166 * p + p - 1, seed=6)
+        out = _run_stack(_grid(x, p), f"period{p}", PERIOD_CONV, w, SpectralNormState())
+        state = SpectralNormState()
+        grid = x.samples[:166 * p].reshape(-1, p)[None]
         for i, name in enumerate(names):
             key = f"period{p}.{name}"
             kernel = spectral_normalize(w[f"{key}.weight"].astype(np.float64), state,
@@ -208,15 +220,15 @@ def test_period_branch_matches_time_major_fold():
             grid = conv2d_loops(grid, kernel, w[f"{key}.bias"], (1, 1) if last else (3, 1))
             if not last:
                 grid = np.maximum(grid, LEAKY_SLOPE * grid)
-            got = outs[k].features[i].transpose(0, 2, 1)
+            got = out.features[i].transpose(0, 2, 1)
             assert got.shape == grid.shape
             assert np.max(np.abs(got - grid)) < 1e-12 * max(np.max(np.abs(grid)), 1.0)
-        assert abs(outs[k].score - grid.mean()) < 1e-12
+        assert abs(out.score - grid.mean()) < 1e-12
 
 
 def test_init_weights_deterministic_and_bounded():
-    a = init_discriminator_weights(SMALL, 9)
-    b = init_discriminator_weights(SMALL, 9)
+    a = init_discriminator_weights(CONFIG, 9)
+    b = init_discriminator_weights(CONFIG, 9)
     assert all(np.array_equal(a[k], b[k]) for k in a)
     for name, arr in a.items():
         assert arr.dtype == np.float32

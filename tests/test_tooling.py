@@ -41,10 +41,10 @@ def test_tracer_install_uninstall(monkeypatch):
         generator.restore(x, generator.init_weights(cfg, 0), cfg)
         _, trace = degrade.apply_chain(x, degrade.DegradationSpec.default(seed=0, prob=1.0))
         degrade.replay_trace(x, trace)
-        dcfg = discriminator.DiscriminatorConfig(
-            periods=(2, 3), stft_resolutions=((256, 64),), channels=(4,)
-        )
-        discriminator.discriminator_forward(x, discriminator.init_discriminator_weights(dcfg, 0), dcfg)
+        dcfg = discriminator.DiscriminatorConfig()
+        long = Waveform(np.resize(x.samples, discriminator.MIN_SAMPLES), x.sample_rate)
+        discriminator.discriminator_forward(long, discriminator.init_discriminator_weights(dcfg, 0),
+                                            dcfg)
     finally:
         tracer.uninstall()
     assert all(a is b for a, b in zip(bound(), before))
@@ -66,7 +66,7 @@ def test_tracer_install_uninstall(monkeypatch):
     for stage in degrade.STAGE_ORDER:     # once in the chain, once in the replay
         assert calls.get(f"degrade.{stage}", 0) == 2, stage
     # one spectral norm per conv: every layer plus the final projection
-    assert calls["discriminator.spectral_normalize"] == dcfg.branch_count * (len(dcfg.channels) + 1)
+    assert calls["discriminator.spectral_normalize"] == 8 * (len(dcfg.channels) + 1)
 
 
 def test_tracer_sees_every_chunk(monkeypatch):
