@@ -85,6 +85,8 @@ def read_wav(path) -> Waveform:
     audio_format, n_channels, sample_rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
     if n_channels != 1:
         raise FormatError(f"{path}: expected mono, got {n_channels} channels")
+    if sample_rate < 1:
+        raise FormatError(f"{path}: sample rate must be >= 1, got {sample_rate}")
 
     if audio_format == _FMT_PCM and bits == 16:
         if len(data) % 2:

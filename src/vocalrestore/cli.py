@@ -177,7 +177,7 @@ def cmd_restore(args) -> int:
     elapsed = time.perf_counter() - t0
     _atomic_write(args.outfile, lambda tmp: write_wav(out, tmp))
     rtf = wave.duration / elapsed if elapsed > 0 else float("inf")
-    chunks = range(0, config.stft_params.frames(len(wave)), generator_mod.CHUNK_FRAMES)
+    chunks = generator_mod.chunk_starts(config.stft_params.frames(len(wave)))
     print(f"restored {wave.duration:.2f}s in {elapsed:.3f}s (RTF {rtf:.2f}); "
           f"chunks={len(chunks)} latency_frames={receptive_field(config)}")
     return EXIT_OK

@@ -327,9 +327,8 @@ def _attention_path(H: np.ndarray, weights: dict, config: ModelConfig, prefix: s
     o = attention_core(q, k, v)
     del q, k, v         # and the feedforward holds none of the attention buffers
     o = o.transpose(2, 0, 1, 3).reshape(nb * T, N)   # a view: o is (nb, T, heads, d) in memory
-    out = (w[f"{p}.out.weight"] @ o.T).reshape(N, nb, T)
+    out = pointwise_conv(o.T.reshape(N, nb, T), w[f"{p}.out.weight"], w[f"{p}.out.bias"])
     del o
-    out += w[f"{p}.out.bias"][:, None, None]
 
     p = f"{prefix}.ffn"
     gain = w[f"{p}.norm.gain"]
@@ -343,8 +342,8 @@ def _attention_path(H: np.ndarray, weights: dict, config: ModelConfig, prefix: s
 
 def _add_frames(out, past, x, start: int) -> None:
     """out += (past ++ x)[..., start:start + T] along time, slice by slice,
-    for T = out.shape[-1]; past None is empty."""
-    P = 0 if past is None else past.shape[-1]
+    for T = out.shape[-1]."""
+    P = past.shape[-1]
     T = out.shape[-1]
     if start < P:
         out[..., :P - start] += past[..., start:start + T]
@@ -356,7 +355,7 @@ def _add_frames(out, past, x, start: int) -> None:
 def _frames_from(past, x, start: int) -> np.ndarray:
     """A copy of (past ++ x)[..., start:] along time: the few boundary frames
     a carry keeps, never a view that would hold the whole chunk."""
-    P = 0 if past is None else past.shape[-1]
+    P = past.shape[-1]
     if start >= P:
         return x[..., start - P:].copy()
     return np.concatenate([past[..., start:], x], axis=-1)
@@ -372,18 +371,17 @@ def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: in
 
     Each conv keeps in carry, under its weight prefix, the 2a input frames
     that its next outputs still read, a = dilation * (k - 1) / 2 (see
-    generator_forward). Its outputs trail its input by a frames until the
-    last push, so the residual adds the input frames from a on of the carry
-    and the chunk.
+    generator_forward); a fresh stream's carry is a frames of zeros. Its
+    outputs trail its input by a frames until the last push, so the residual
+    adds the input frames from a on of the carry and the chunk.
     """
     x = H
     w = weights
     for j, dil in enumerate(config.dilations(layer_index)):
         q = f"{prefix}.temporal{j}"
         a = dil * (config.conv_kernel - 1) // 2
-        past = carry.get(q)
-        if past is None and not last:       # a fresh stream: the zeros before the start
-            past = np.zeros(x.shape[:-1] + (a,), x.dtype)
+        # a fresh stream starts from the a frames of zeros before the signal
+        past = carry[q] if q in carry else np.zeros(x.shape[:-1] + (a,), x.dtype)
         gamma = w[f"{q}.gamma"]
         # each step rebinds u, so its input is freed before the next kernel runs
         u = depthwise_conv1d(x, w[f"{q}.dw.kernel"], dil, past, last)
@@ -393,7 +391,7 @@ def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: in
                            w[f"{q}.pw1.bias"] * 0.5)
         u = glu(u)
         u = pointwise_conv(u, w[f"{q}.pw2.weight"] * gamma[:, None], w[f"{q}.pw2.bias"] * gamma)
-        _add_frames(u, past, x, 0 if past is None else a)
+        _add_frames(u, past, x, a)
         if not last:
             carry[q] = _frames_from(past, x, u.shape[-1])
         x = u
@@ -419,7 +417,7 @@ def band_sequence_block(
     prefix = f"block{layer_index}"
     # temporal first: the attention path, which peaks lower, holds its output
     out = _temporal_path(H, weights, config, prefix, layer_index, carry, last)
-    held = carry.get(f"{prefix}.attn")
+    held = carry.get(f"{prefix}.attn", H[..., :0])
     attention = _attention_path(H, weights, config, prefix)
     _add_frames(out, held, attention, 0)
     if not last:
@@ -487,25 +485,27 @@ def receptive_field(config: ModelConfig) -> int:
                for layer in range(config.L) for d in config.dilations(layer))
 
 
+def chunk_starts(n_frames: int) -> range:
+    """First frame of each push restore() makes over n_frames frames."""
+    return range(0, n_frames, CHUNK_FRAMES)
+
+
 def restore(wave: Waveform, weights: dict, config: ModelConfig) -> Waveform:
     """Waveform-to-waveform restoration: one stft, generator_forward on each
     CHUNK_FRAMES chunk with one carry threaded through, each push's frames
-    written in place into one (F, T) spectrogram, one istft. The carry gives
-    every frame all the frames it reads, so the output equals one forward
-    pass for any length, and memory is bounded by the chunk."""
+    written over the input frames the forward has read, one istft. The carry
+    gives every frame all the frames it reads, so the output equals one
+    forward pass for any length, and memory is bounded by the chunk."""
     if wave.sample_rate != config.sample_rate:
         raise SampleRateError(
             f"waveform is {wave.sample_rate} Hz, model expects {config.sample_rate}"
         )
     X = stft(wave, config.stft_params)
-    T, params = X.n_frames, X.params
-    bins = np.empty_like(X.bins)
     carry: dict = {}
     done = 0
-    for start in range(0, T, CHUNK_FRAMES):
-        chunk = ComplexSpectrogram(X.bins[:, start:start + CHUNK_FRAMES], params)
-        Y = generator_forward(chunk, weights, config, carry, start + CHUNK_FRAMES >= T)
-        bins[:, done:done + Y.n_frames] = Y.bins
+    for start in chunk_starts(X.n_frames):
+        chunk = ComplexSpectrogram(X.bins[:, start:start + CHUNK_FRAMES], X.params)
+        Y = generator_forward(chunk, weights, config, carry, start + CHUNK_FRAMES >= X.n_frames)
+        X.bins[:, done:done + Y.n_frames] = Y.bins
         done += Y.n_frames
-    del X, chunk            # the istft takes the input spectrogram's room
-    return istft(ComplexSpectrogram(bins, params), len(wave), sample_rate=wave.sample_rate)
+    return istft(X, len(wave), sample_rate=wave.sample_rate)

@@ -58,19 +58,18 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
 
 
 def depthwise_conv1d(
-    x: np.ndarray, kernels: np.ndarray, dilation: int, past: np.ndarray | None = None,
-    last: bool = True,
+    x: np.ndarray, kernels: np.ndarray, dilation: int, past: np.ndarray, last: bool,
 ) -> np.ndarray:
     """Per-channel dilated correlation along time over past ++ x, keeping
     only the outputs whose taps have all arrived.
 
     x: (C, ..., T); kernels: (C, k) with k odd, shared over the middle axes.
-    With a = dilation * (k - 1) / 2, past holds the input frames before x
-    (the caller's carry, at least a of them), or None at the signal start,
-    which reads a frames of zeros; last appends a frames of zeros for the
-    signal end. Output frame j is centred on input frame j + a of that
-    sequence. With past None and last set, this is the same-length
-    correlation whose out-of-range taps read zeros.
+    With a = dilation * (k - 1) / 2, past holds the input frames before x,
+    at least a of them: the caller's carry, which at the signal start is a
+    frames of zeros. last appends a frames of zeros for the signal end.
+    Output frame j is centred on input frame j + a of past ++ x. With a zero
+    past and last set, this is the same-length correlation whose
+    out-of-range taps read zeros.
 
     The centre tap makes the output buffer and every other tap adds its
     shifted slices of past and x in place, so no padded or joined copy of
@@ -88,17 +87,15 @@ def depthwise_conv1d(
         raise ConfigError(f"dilation must be >= 1, got {dilation}")
     centre = (k - 1) // 2
     a = centre * dilation
-    if past is not None and (past.shape[:-1] != x.shape[:-1] or past.shape[-1] < a):
+    P = past.shape[-1]
+    if past.shape[:-1] != x.shape[:-1] or P < a:
         raise ShapeError(f"past {past.shape} must be {x.shape[:-1]} by at least {a} frames")
-    # (array, start) of each real piece of the sequence; zeros fill the rest
-    pieces = [(x, a)] if past is None else [(past, 0), (x, past.shape[-1])]
-    end = pieces[-1][1] + x.shape[-1]
-    T = max(end + (a if last else 0) - 2 * a, 0)
+    T = max(P + x.shape[-1] + (a if last else 0) - 2 * a, 0)
     kernels = kernels.reshape(kernels.shape + (1,) * (x.ndim - 1))
     out = np.empty(x.shape[:-1] + (T,), np.result_type(x, kernels))
     for j in (centre, *range(centre), *range(centre + 1, k)):
         off = j * dilation
-        for piece, start in pieces:
+        for piece, start in ((past, 0), (x, P)):
             lo, hi = max(start - off, 0), min(start + piece.shape[-1] - off, T)
             if lo < hi:
                 src = piece[..., lo + off - start:hi + off - start]

@@ -73,6 +73,12 @@ def test_pcm24(tmp_path):
     assert np.allclose(back.samples, np.array(vals) / float(1 << 23))
 
 
+def test_zero_sample_rate_names_file(tmp_path):
+    path = _pcm_wav(tmp_path / "z.wav", [0, 1], 16, sr=0)
+    with pytest.raises(FormatError, match=r"z\.wav: sample rate must be >= 1, got 0"):
+        read_wav(path)
+
+
 def test_missing_file():
     with pytest.raises(FileNotFoundError, match="nope.wav"):
         read_wav("/nonexistent/nope.wav")

@@ -576,6 +576,28 @@ def test_restore_chunks_match_single_pass_float64(monkeypatch, seed):
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2)), chunk
 
 
+def test_restore_writes_over_its_input_spectrogram(monkeypatch):
+    """restore() writes each push's output frames over the input frames the
+    forward has read and hands istft the spectrogram stft returned: no second
+    (F, T) buffer is made."""
+    cfg = toy_config()
+    seen = {}
+
+    def traced_stft(*args, **kwargs):
+        seen["stft"] = stft(*args, **kwargs)
+        return seen["stft"]
+
+    def traced_istft(spec, *args, **kwargs):
+        seen["istft"] = spec
+        return istft(spec, *args, **kwargs)
+
+    monkeypatch.setattr(generator, "stft", traced_stft)
+    monkeypatch.setattr(generator, "istft", traced_istft)
+    monkeypatch.setattr(generator, "CHUNK_FRAMES", 16)
+    restore(_wave(40 * cfg.hop, seed=4, sr=cfg.sample_rate), _gamma_weights(cfg, 4, 0.5), cfg)
+    assert np.shares_memory(seen["stft"].bins, seen["istft"].bins)
+
+
 def test_forward_carry_keeps_boundary_frames():
     """Pushed in 16-frame chunks, generator_forward emits each frame once,
     R = receptive_field frames behind its input until the last push flushes

@@ -91,18 +91,24 @@ def test_pointwise_conv_oracle():
         pointwise_conv(x3, np.zeros((7, 6)), np.zeros(7))
 
 
+def _same(x, kernels, dilation):
+    """The one-push, same-length conv: a zero carry of the reach, then the end."""
+    a = (kernels.shape[1] - 1) // 2 * dilation
+    return depthwise_conv1d(x, kernels, dilation, np.zeros(x.shape[:-1] + (a,), x.dtype), True)
+
+
 @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_depthwise_conv_oracle(dilation, k):
     x = _rng(7).standard_normal((3, 20))
     kernels = _rng(8).standard_normal((3, k))
-    out = depthwise_conv1d(x, kernels, dilation)
+    out = _same(x, kernels, dilation)
     ref = depthwise_conv_loops(x, kernels, dilation)
     assert out.shape == x.shape
     assert np.max(np.abs(out - ref)) < 1e-12
     # (C, bands, T): each channel's kernel applied to every band
     x3 = _rng(9).standard_normal((3, 4, 20))
-    out3 = depthwise_conv1d(x3, kernels, dilation)
+    out3 = _same(x3, kernels, dilation)
     assert out3.shape == x3.shape
     for i in range(4):
         ref = depthwise_conv_loops(x3[:, i], kernels, dilation)
@@ -133,10 +139,10 @@ def test_depthwise_conv_trim_bitwise(dilation):
         x = _rng(11).standard_normal((4, 5, T))
         for dtype in DTYPES:
             xd, kd = x.astype(dtype), kernels.astype(dtype)
-            out = depthwise_conv1d(xd, kd, dilation)
+            out = _same(xd, kd, dilation)
             assert out.dtype == dtype
             assert np.array_equal(out, _padded_depthwise(xd, kd, dilation))
-        out = depthwise_conv1d(x, kernels, dilation)
+        out = _same(x, kernels, dilation)
         for b in range(5):
             assert np.array_equal(out[:, b], depthwise_conv_loops(x[:, b], kernels, dilation))
 
@@ -149,7 +155,7 @@ def test_depthwise_conv_carried_pushes_bitwise(dilation, k):
     output once and bit for bit, for pushes shorter than its reach too."""
     x = _rng(12).standard_normal((3, 2, 40))
     kernels = _rng(13).standard_normal((3, k))
-    whole = depthwise_conv1d(x, kernels, dilation)
+    whole = _same(x, kernels, dilation)
     a = (k - 1) // 2 * dilation
     for sizes in ([40], [13, 27], [1] * 40, [5, 1, 2, 9, 23]):
         past, outs, start = np.zeros((3, 2, a)), [], 0
@@ -166,18 +172,18 @@ def test_depthwise_conv_carried_pushes_bitwise(dilation, k):
 
 
 def test_depthwise_conv_errors():
-    x = np.zeros((3, 10))
+    x, past = np.zeros((3, 10)), np.zeros((3, 4))
     with pytest.raises(ConfigError):
-        depthwise_conv1d(x, np.zeros((3, 4)), 1)
+        depthwise_conv1d(x, np.zeros((3, 4)), 1, past, True)
     with pytest.raises(ConfigError):
-        depthwise_conv1d(x, np.zeros((3, 3)), dilation=0)
+        depthwise_conv1d(x, np.zeros((3, 3)), 0, past, True)
     with pytest.raises(ShapeError):
-        depthwise_conv1d(x, np.zeros((2, 3)), 1)
+        depthwise_conv1d(x, np.zeros((2, 3)), 1, past, True)
     # a carry shorter than the reach would leave outputs unwritten
     with pytest.raises(ShapeError, match="at least 2 frames"):
-        depthwise_conv1d(x, np.zeros((3, 3)), 2, past=np.zeros((3, 1)))
+        depthwise_conv1d(x, np.zeros((3, 3)), 2, np.zeros((3, 1)), True)
     with pytest.raises(ShapeError):
-        depthwise_conv1d(x, np.zeros((3, 3)), 1, past=np.zeros((2, 1)))
+        depthwise_conv1d(x, np.zeros((3, 3)), 1, np.zeros((2, 1)), True)
 
 
 def test_glu():

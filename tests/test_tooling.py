@@ -57,11 +57,12 @@ def test_tracer_install_uninstall(monkeypatch):
     assert calls["bandsplit.reassemble"] == 1
     for kernel in ("attention_core", "depthwise_conv1d", "glu", "silu"):
         assert calls.get(f"nncore.{kernel}", 0) > 0, kernel
-    # stem and heads per band; per block 3 FFN projections and 2 per temporal
-    # ConvNeXt block, all through the names tracing binds. The 4 attention
-    # projections are head-major GEMMs in the block itself, not 1x1 convs.
+    # stem and heads per band; per block the attention out projection, 3 FFN
+    # projections and 2 per temporal ConvNeXt block, all through the names
+    # tracing binds. The q/k/v projections are head-major GEMMs in the block
+    # itself, not 1x1 convs.
     per_layer = generator.CONVNEXT_BLOCKS_PER_LAYER
-    assert calls["nncore.pointwise_conv"] == 3 * cfg.n_band + cfg.L * (3 + 2 * per_layer)
+    assert calls["nncore.pointwise_conv"] == 3 * cfg.n_band + cfg.L * (4 + 2 * per_layer)
     assert calls["nncore.rmsnorm"] == 2 * cfg.n_band + cfg.L * (2 + per_layer)
     for stage in degrade.STAGE_ORDER:     # once in the chain, once in the replay
         assert calls.get(f"degrade.{stage}", 0) == 2, stage
