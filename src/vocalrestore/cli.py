@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import blas
 from . import degrade as degrade_mod
 from . import losses as losses_mod
 from . import ranking as ranking_mod
@@ -104,29 +105,15 @@ class BenchReport:
     mean_s: float
     audio_s: float
     rtf: float
-    threads: int    # BLAS threads in effect, 0 where OpenBLAS cannot be asked
+    # threads the forward runs its GEMMs on: its halves times the BLAS
+    # threads each half gets, 0 where OpenBLAS cannot be asked
+    threads: int
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def blas_threads_in_effect() -> int:
-    """Threads the OpenBLAS bundled with NumPy runs (OPENBLAS_NUM_THREADS sets
-    them at import), or 0 where it cannot be asked: NumPy on another BLAS."""
-    import ctypes
-    import glob
-
-    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                    "openblas_get_num_threads"):
-            fn = getattr(lib, sym, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return int(fn())
-    return 0
+blas_threads_in_effect = blas.threads
 
 
 def run_bench(
@@ -165,7 +152,7 @@ def run_bench(
         mean_s=float(np.mean(times)),
         audio_s=seconds,
         rtf=seconds / median,
-        threads=blas_threads_in_effect(),
+        threads=generator_mod.HALVES * blas.share(generator_mod.HALVES),
     )
 
 

@@ -23,12 +23,15 @@ whole model is kept.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from concurrent import futures
 from dataclasses import dataclass, asdict, fields
 from typing import ClassVar
 
 import numpy as np
 
+from . import blas
 from .audio_io import Waveform
 from .bandsplit import BandLayout, mel_band_layout, pack_band_features, reassemble
 from .errors import ConfigError, FormatError, SampleRateError, ShapeError
@@ -49,6 +52,21 @@ CONVNEXT_BLOCKS_PER_LAYER = 3  # dilations {1, d, 1}
 # Frames per restore() push: the block stack never holds more than one
 # chunk plus its carries, whatever the length.
 CHUNK_FRAMES = 128
+# band_sequence_block runs each block as this many halves at once: one on
+# the caller's thread, one on _worker, whose one thread starts on the first
+# submit, not at import.
+HALVES = 2
+
+
+def _new_worker() -> None:
+    """Give the process its own worker: a forked child inherits the parent's
+    executor but not its thread, and would wait on it for ever."""
+    global _worker
+    _worker = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="vocalrestore-half")
+
+
+_new_worker()
+os.register_at_fork(after_in_child=_new_worker)
 
 
 @dataclass(frozen=True)
@@ -398,6 +416,25 @@ def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: in
     return x
 
 
+def _half(H, weights, config: ModelConfig, layer_index: int, carry: dict, last: bool,
+          bands: slice, frames: slice):
+    """One half of a block: the temporal path on a band range of H and the
+    attention path on a frame range of H. The temporal path never mixes
+    bands and the attention path never mixes frames, so two halves with
+    complementary ranges compute the whole block with the same arithmetic.
+
+    Reads only H, the weights and its bands of carry's temporal entries, and
+    writes nothing shared: returns the temporal output, a dict with its
+    bands of the temporal carry (the new one unless last) and the attention
+    output of its frames.
+    """
+    prefix = f"block{layer_index}"
+    keys = (f"{prefix}.temporal{j}" for j in range(CONVNEXT_BLOCKS_PER_LAYER))
+    mine = {q: carry[q][:, bands] for q in keys if q in carry}
+    out = _temporal_path(H[:, bands], weights, config, prefix, layer_index, mine, last)
+    return out, mine, _attention_path(H[..., frames], weights, config, prefix)
+
+
 def band_sequence_block(
     H: np.ndarray, weights: dict, config: ModelConfig, layer_index: int,
     carry: dict | None = None, last: bool = True,
@@ -407,6 +444,10 @@ def band_sequence_block(
     temporal stream carries H; the attention pathway's output adds onto it.
     Takes the raw weights; each pathway folds its own slice at use.
 
+    The block runs as two halves (see _half): the lower bands and frames on
+    the caller's thread, the upper ones on the worker, joined once both are
+    done. Either half may be empty (one band, or fewer than two frames).
+
     carry and last are generator_forward's: the block returns the frames its
     temporal path completes, and holds the attention output of the frames
     it has not yet emitted, so each attention frame lands on its own frame.
@@ -414,11 +455,24 @@ def band_sequence_block(
     if H.shape[:2] != (config.N, config.n_band):
         raise ShapeError(f"expected ({config.N}, {config.n_band}, T), got {H.shape}")
     carry = {} if carry is None else carry
+    nb, T = H.shape[1:]
+    args = (H, weights, config, layer_index, carry, last)
+    upper = _worker.submit(_half, *args, slice(nb // 2, nb), slice(T // 2, T))
+    try:
+        lower = _half(*args, slice(0, nb // 2), slice(0, T // 2))
+    finally:
+        futures.wait([upper])   # never return or raise while the worker runs
+    halves = (lower, upper.result())
+    del lower, upper    # the joins are all that is kept of the halves
+    out = np.concatenate([h[0] for h in halves], axis=1)
+    if not last:
+        for q in halves[0][1]:
+            carry[q] = np.concatenate([h[1][q] for h in halves], axis=1)
+    attention = np.concatenate([h[2] for h in halves], axis=-1)
+    del halves
+
     prefix = f"block{layer_index}"
-    # temporal first: the attention path, which peaks lower, holds its output
-    out = _temporal_path(H, weights, config, prefix, layer_index, carry, last)
     held = carry.get(f"{prefix}.attn", H[..., :0])
-    attention = _attention_path(H, weights, config, prefix)
     _add_frames(out, held, attention, 0)
     if not last:
         carry[f"{prefix}.attn"] = _frames_from(held, attention, out.shape[-1])
@@ -460,6 +514,10 @@ def generator_forward(
     receptive_field(config) frames, and the last push emits the rest. A
     whole spectrogram is one push with a fresh carry that is also the
     last, and gives X's frame count.
+
+    The blocks run their two halves at once, so while the network runs each
+    half gets blas.share(HALVES) of the BLAS threads in effect; the count
+    in effect is set back before this returns or raises.
     """
     if X.bins.shape[0] != config.F:
         raise ShapeError(f"expected F={config.F}, got {X.bins.shape[0]}")
@@ -467,12 +525,12 @@ def generator_forward(
     dtype = weights["stem.band0.proj.weight"].dtype
     packed = [p.astype(dtype) for p in pack_band_features(X, layout, config.eps)]
 
-    H = stem(packed, weights, config)
-    del packed
-    for layer in range(config.L):
-        H = band_sequence_block(H, weights, config, layer, carry, last)
-
-    rows = [synthesis_head(H[:, i], weights, i, bw) for i, bw in enumerate(layout.widths)]
+    with blas.shared_by(HALVES):
+        H = stem(packed, weights, config)
+        del packed
+        for layer in range(config.L):
+            H = band_sequence_block(H, weights, config, layer, carry, last)
+        rows = [synthesis_head(H[:, i], weights, i, bw) for i, bw in enumerate(layout.widths)]
     return ComplexSpectrogram(reassemble(rows, layout), X.params)
 
 

@@ -3,9 +3,10 @@
 The convolution, normalization and gating kernels are channel-first: they
 take (C, ..., T) arrays and act on axis 0 (channels) and the last axis
 (time). rope and attention_core take (..., sequence, features). All but rope,
-which rotates in place, are pure functions; compute dtype follows the input
-dtype (RoPE's tables included), so callers choose precision. No autodiff, no
-dropout, no state.
+which rotates in place, and glu, which writes its gate into its input's gate
+half, are pure functions; compute dtype follows the input dtype (RoPE's
+tables included), so callers choose precision. No autodiff, no dropout, no
+state.
 
 The kernels carry no parameter that a caller can fold into the weights of a
 1x1 conv: rmsnorm has no gain, attention_core no 1/sqrt(d) scale, and silu
@@ -109,11 +110,14 @@ def depthwise_conv1d(
 def glu(x: np.ndarray) -> np.ndarray:
     """a * (1 + tanh(b)) for the first half a and second half b of the
     channels, which is 2a * sigmoid(2b): the caller feeds half of the value
-    and gate pre-activations for the GLU a' * sigmoid(b')."""
+    and gate pre-activations for the GLU a' * sigmoid(b'). The result is
+    written over b, a view of x, so x is overwritten and no new buffer is
+    made."""
     n = x.shape[0]
     if n % 2:
         raise ShapeError(f"GLU needs an even channel count, got {n}")
-    gate = np.tanh(x[n // 2:])
+    gate = x[n // 2:]
+    np.tanh(gate, out=gate)
     gate += 1.0
     gate *= x[:n // 2]
     return gate

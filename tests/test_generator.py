@@ -1,10 +1,13 @@
 import json
+import multiprocessing
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from vocalrestore import generator
+from vocalrestore import blas, generator
 from vocalrestore.audio_io import Waveform
 from vocalrestore.bandsplit import pack_band_features, reassemble
 from vocalrestore.errors import ConfigError, FormatError, SampleRateError, ShapeError
@@ -545,7 +548,13 @@ def test_restore_chunks_match_single_pass(monkeypatch):
     forward pass over the whole input for 16-, 7- and 1-frame chunks (the
     last two shorter than some convs' look-ahead, so those emit nothing on
     some pushes); an input that fits one chunk gives the single pass bit for
-    bit."""
+    bit.
+
+    In float32 the chunked GEMMs run at other column counts than the single
+    pass and round differently. Over seeds 1-10 of this set-up the worst
+    chunk size read 0.87e-6 to 1.44e-6 of the RMS, so the bound is 2e-6;
+    a carry one frame short fails it by orders of magnitude. The float64
+    form below carries the exactness claim."""
     cfg = toy_config()
     w = _gamma_weights(cfg, 1, 0.5)
     x = _wave(86 * cfg.hop + 37, seed=1, sr=cfg.sample_rate)    # 87 frames
@@ -553,20 +562,23 @@ def test_restore_chunks_match_single_pass(monkeypatch):
     for chunk in (16, 7, 1):
         monkeypatch.setattr(generator, "CHUNK_FRAMES", chunk)
         out = restore(x, w, cfg).samples
-        assert np.max(np.abs(out - ref)) <= 1e-6 * np.sqrt(np.mean(ref**2)), chunk
+        assert np.max(np.abs(out - ref)) <= 2e-6 * np.sqrt(np.mean(ref**2)), chunk
 
     monkeypatch.setattr(generator, "CHUNK_FRAMES", 16)
     short = Waveform(x.samples[: 15 * cfg.hop], x.sample_rate)  # 16 frames
     assert np.array_equal(restore(short, w, cfg).samples, _single_pass(short, w, cfg).samples)
 
 
-@pytest.mark.parametrize("seed", [1, 10])
-def test_restore_chunks_match_single_pass_float64(monkeypatch, seed):
+@pytest.mark.parametrize("seed, n_band", [(1, 8), (10, 8), (1, 1)],
+                         ids=["1", "10", "1-n_band1"])
+def test_restore_chunks_match_single_pass_float64(monkeypatch, seed, n_band):
     """The same check on float64 weights, so the forward runs in float64: the
     chunked output equals the single pass to rounding (1e-12 of the RMS), so
-    the carry itself is exact; the float32 check's 1e-6 is the GEMMs
-    rounding differently at other column counts."""
-    cfg = toy_config()
+    the carry itself is exact; the float32 check's bound is the GEMMs
+    rounding differently at other column counts. One band leaves every
+    block's lower half without bands, and 1-frame chunks leave it without
+    frames."""
+    cfg = toy_config(n_band=n_band)
     w = {k: v.astype(np.float64) for k, v in _gamma_weights(cfg, seed, 0.5).items()}
     x = _wave(86 * cfg.hop + 37, seed=seed, sr=cfg.sample_rate)    # 87 frames
     ref = _single_pass(x, w, cfg).samples
@@ -596,6 +608,113 @@ def test_restore_writes_over_its_input_spectrogram(monkeypatch):
     monkeypatch.setattr(generator, "CHUNK_FRAMES", 16)
     restore(_wave(40 * cfg.hop, seed=4, sr=cfg.sample_rate), _gamma_weights(cfg, 4, 0.5), cfg)
     assert np.shares_memory(seen["stft"].bins, seen["istft"].bins)
+
+
+def test_block_halves_run_on_two_threads(monkeypatch):
+    """Each block runs its temporal path as two band halves at once, one on
+    the caller's thread and one on the worker, and during the network each
+    half runs its GEMMs on blas.share(HALVES) BLAS threads."""
+    cfg = toy_config()
+    calls = []
+
+    def temporal(H, weights, config, prefix, *args):
+        calls.append((prefix, H.shape[1], threading.get_ident(), blas.threads()))
+        return real(H, weights, config, prefix, *args)
+
+    real = generator._temporal_path
+    monkeypatch.setattr(generator, "_temporal_path", temporal)
+    restore(_wave(20 * cfg.hop, seed=5, sr=cfg.sample_rate), init_weights(cfg, 5), cfg)
+    assert len(calls) == generator.HALVES * cfg.L
+    for layer in range(cfg.L):
+        mine = [c for c in calls if c[0] == f"block{layer}"]
+        assert sorted(c[1] for c in mine) == [cfg.n_band // 2, cfg.n_band // 2]
+        assert len({c[2] for c in mine}) == 2
+    assert threading.get_ident() in {c[2] for c in calls}
+    if blas.threads():
+        assert {c[3] for c in calls} == {blas.share(generator.HALVES)}
+
+
+def test_restore_sets_blas_threads_back(monkeypatch):
+    """restore() leaves the BLAS thread count as it found it, both when it
+    returns and when the worker's half raises mid-forward; the worker's
+    ShapeError reaches the caller as it is."""
+    if not blas.threads():
+        pytest.skip("OpenBLAS cannot be asked for its thread count")
+    cfg = toy_config()
+    w = init_weights(cfg, 6)
+    x = _wave(20 * cfg.hop, seed=6, sr=cfg.sample_rate)
+    before = blas.threads()
+    restore(x, w, cfg)
+    assert blas.threads() == before
+
+    caller = threading.get_ident()
+    bad = dict(w)      # pw1 with one row too many: its GLU gets an odd channel count
+    for name in ("block1.temporal0.pw1.weight", "block1.temporal0.pw1.bias"):
+        bad[name] = np.concatenate([w[name], w[name][:1]])
+
+    def temporal(H, weights, *args):
+        if threading.get_ident() != caller:
+            weights = bad
+        return real(H, weights, *args)
+
+    real = generator._temporal_path
+    monkeypatch.setattr(generator, "_temporal_path", temporal)
+    with pytest.raises(ShapeError, match="even channel count"):
+        restore(x, w, cfg)
+    assert blas.threads() == before
+
+
+def _restore_shape(x, w, cfg, queue):
+    queue.put(restore(x, w, cfg).samples.shape)
+
+
+def test_restore_runs_in_a_forked_child():
+    """A child forked after restore() has run gets a worker of its own: the
+    parent's worker thread does not exist in it, and waiting on it hangs."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    cfg = toy_config()
+    w = init_weights(cfg, 7)
+    x = _wave(20 * cfg.hop, seed=7, sr=cfg.sample_rate)
+    restore(x, w, cfg)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_restore_shape, args=(x, w, cfg, queue))
+    child.start()
+    try:
+        assert queue.get(timeout=60) == x.samples.shape
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+def test_overlapping_blas_shares_set_the_count_back():
+    """shared_by bodies that overlap in several threads, as concurrent
+    restore() calls make them, set the BLAS thread count back to the one
+    found before the first began; a per-body save and restore loses it."""
+    if not blas.threads():
+        pytest.skip("OpenBLAS cannot be asked for its thread count")
+    before = blas.threads()
+
+    def enter_and_leave():
+        for _ in range(500):
+            with blas.shared_by(generator.HALVES):
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=enter_and_leave) for _ in range(4)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert blas.threads() == before
 
 
 def test_forward_carry_keeps_boundary_frames():
