@@ -40,40 +40,55 @@ def threads() -> int:
     return int(lib[0]()) if lib else 0
 
 
-def share(callers: int) -> int:
-    """BLAS threads each of `callers` threads running GEMMs at once gets
-    under shared_by(callers): max(1, n // callers) of the n in effect, or 0
-    where OpenBLAS cannot be asked."""
-    n = threads()
-    return max(1, n // callers) if n else 0
-
-
 # The thread count is one setting of the process: shared_by bodies that
-# overlap, in any threads, set it once and put it back once, under _lock.
+# overlap or nest, in any threads, set it once and put it back once, under
+# _lock; the ones inside make no BLAS call.
+# Each step keeps _inside nonzero while the count is lowered, so a child
+# forked at any point can put the count back (see _reset_in_child).
 _lock = threading.Lock()
-_inside = 0     # shared_by bodies running now
+_inside = 0     # shared_by bodies running now that lowered the count
 _outside = 0    # the count in effect before the first of them began
 
 
 @contextlib.contextmanager
 def shared_by(callers: int):
-    """Run the body with share(callers) BLAS threads, so that `callers`
-    threads issuing GEMMs at once do not each start n; set the count back
-    to n when the last overlapping body returns or raises."""
+    """Split the BLAS between `callers` threads that issue GEMMs at once,
+    one BLAS thread each, where the count in effect outside every shared_by
+    body equals `callers`: yields True and sets the count back when the last
+    overlapping body returns or raises. That split was measured only at 2
+    threads on 2 vCPUs; at any other count (or where OpenBLAS cannot be
+    asked) yields False and leaves the BLAS as it is, so the caller runs on
+    one thread with the count its user chose."""
     global _inside, _outside
     lib = _openblas()
-    if lib is None:
-        yield
-        return
     with _lock:
-        if not _inside:
-            _outside = lib[0]()
-            lib[1](share(callers))
-        _inside += 1
+        n = _outside if _inside else threads()
+        split = n == callers
+        if split:
+            _outside, _inside = n, _inside + 1
+            if _inside == 1:
+                lib[1](1)
+    if not split:
+        yield False
+        return
     try:
-        yield
+        yield True
     finally:
         with _lock:
-            _inside -= 1
-            if not _inside:
+            if _inside == 1:
                 lib[1](_outside)
+            _inside -= 1
+
+
+def _reset_in_child() -> None:
+    """A forked child runs none of the parent's other threads: it takes a
+    fresh lock, which one of them may have held, and puts back the count
+    their shared_by bodies had lowered."""
+    global _lock, _inside
+    _lock = threading.Lock()
+    if _inside:
+        _openblas()[1](_outside)
+        _inside = 0
+
+
+os.register_at_fork(after_in_child=_reset_in_child)

@@ -105,8 +105,8 @@ class BenchReport:
     mean_s: float
     audio_s: float
     rtf: float
-    # threads the forward runs its GEMMs on: its halves times the BLAS
-    # threads each half gets, 0 where OpenBLAS cannot be asked
+    # BLAS threads in effect, which the forward's GEMMs run on (at 2, as two
+    # block halves of one each); 0 where OpenBLAS cannot be asked
     threads: int
 
     def to_json(self) -> str:
@@ -152,7 +152,7 @@ def run_bench(
         mean_s=float(np.mean(times)),
         audio_s=seconds,
         rtf=seconds / median,
-        threads=generator_mod.HALVES * blas.share(generator_mod.HALVES),
+        threads=blas_threads_in_effect(),
     )
 
 

@@ -52,9 +52,10 @@ CONVNEXT_BLOCKS_PER_LAYER = 3  # dilations {1, d, 1}
 # Frames per restore() push: the block stack never holds more than one
 # chunk plus its carries, whatever the length.
 CHUNK_FRAMES = 128
-# band_sequence_block runs each block as this many halves at once: one on
-# the caller's thread, one on _worker, whose one thread starts on the first
-# submit, not at import.
+# band_sequence_block runs each block as exactly two halves, one on the
+# caller's thread and one on _worker, whose one thread starts on the first
+# submit, not at import. HALVES names that count for the BLAS split only:
+# the slices and the single worker are written for two.
 HALVES = 2
 
 
@@ -416,23 +417,36 @@ def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: in
     return x
 
 
+def _temporal_frames(T: int, config: ModelConfig, layer_index: int, carry: dict,
+                     last: bool) -> int:
+    """Frames _temporal_path returns for T input frames: depthwise_conv1d's
+    count, conv by conv."""
+    for j, dil in enumerate(config.dilations(layer_index)):
+        q = f"block{layer_index}.temporal{j}"
+        a = dil * (config.conv_kernel - 1) // 2
+        P = carry[q].shape[-1] if q in carry else a
+        T = max(P + T + (a if last else 0) - 2 * a, 0)
+    return T
+
+
 def _half(H, weights, config: ModelConfig, layer_index: int, carry: dict, last: bool,
-          bands: slice, frames: slice):
+          bands: slice, frames: slice, out: np.ndarray, attention: np.ndarray) -> dict:
     """One half of a block: the temporal path on a band range of H and the
     attention path on a frame range of H. The temporal path never mixes
     bands and the attention path never mixes frames, so two halves with
     complementary ranges compute the whole block with the same arithmetic.
 
-    Reads only H, the weights and its bands of carry's temporal entries, and
-    writes nothing shared: returns the temporal output, a dict with its
-    bands of the temporal carry (the new one unless last) and the attention
-    output of its frames.
+    Reads only H, the weights and its bands of carry's temporal entries;
+    writes its temporal output into out[:, bands] and its attention output
+    into attention[..., frames], slices no other half touches. Returns its
+    bands of the temporal carry (the new one unless last).
     """
     prefix = f"block{layer_index}"
     keys = (f"{prefix}.temporal{j}" for j in range(CONVNEXT_BLOCKS_PER_LAYER))
     mine = {q: carry[q][:, bands] for q in keys if q in carry}
-    out = _temporal_path(H[:, bands], weights, config, prefix, layer_index, mine, last)
-    return out, mine, _attention_path(H[..., frames], weights, config, prefix)
+    out[:, bands] = _temporal_path(H[:, bands], weights, config, prefix, layer_index, mine, last)
+    attention[..., frames] = _attention_path(H[..., frames], weights, config, prefix)
+    return mine
 
 
 def band_sequence_block(
@@ -444,9 +458,12 @@ def band_sequence_block(
     temporal stream carries H; the attention pathway's output adds onto it.
     Takes the raw weights; each pathway folds its own slice at use.
 
-    The block runs as two halves (see _half): the lower bands and frames on
-    the caller's thread, the upper ones on the worker, joined once both are
-    done. Either half may be empty (one band, or fewer than two frames).
+    Where blas.shared_by(HALVES) splits the BLAS (OpenBLAS at 2 threads, the
+    only count measured), the block runs as two halves (see _half) with one
+    BLAS thread each: the lower bands and frames on the caller's thread, the
+    upper ones on the worker, joined once both are done. Either half may be
+    empty (one band, or fewer than two frames). At any other count it runs
+    as one half on the caller's thread.
 
     carry and last are generator_forward's: the block returns the frames its
     temporal path completes, and holds the attention output of the frames
@@ -455,21 +472,24 @@ def band_sequence_block(
     if H.shape[:2] != (config.N, config.n_band):
         raise ShapeError(f"expected ({config.N}, {config.n_band}, T), got {H.shape}")
     carry = {} if carry is None else carry
-    nb, T = H.shape[1:]
+    N, nb, T = H.shape
+    out = np.empty((N, nb, _temporal_frames(T, config, layer_index, carry, last)), H.dtype)
+    attention = np.empty_like(H)
     args = (H, weights, config, layer_index, carry, last)
-    upper = _worker.submit(_half, *args, slice(nb // 2, nb), slice(T // 2, T))
-    try:
-        lower = _half(*args, slice(0, nb // 2), slice(0, T // 2))
-    finally:
-        futures.wait([upper])   # never return or raise while the worker runs
-    halves = (lower, upper.result())
-    del lower, upper    # the joins are all that is kept of the halves
-    out = np.concatenate([h[0] for h in halves], axis=1)
+    with blas.shared_by(HALVES) as split:
+        if split:
+            upper = _worker.submit(_half, *args, slice(nb // 2, nb), slice(T // 2, T),
+                                   out, attention)
+            try:
+                lower = _half(*args, slice(0, nb // 2), slice(0, T // 2), out, attention)
+            finally:
+                futures.wait([upper])   # never return or raise while the worker runs
+            halves = (lower, upper.result())
+        else:
+            halves = (_half(*args, slice(None), slice(None), out, attention),)
     if not last:
-        for q in halves[0][1]:
-            carry[q] = np.concatenate([h[1][q] for h in halves], axis=1)
-    attention = np.concatenate([h[2] for h in halves], axis=-1)
-    del halves
+        for q in halves[0]:
+            carry[q] = np.concatenate([h[q] for h in halves], axis=1)
 
     prefix = f"block{layer_index}"
     held = carry.get(f"{prefix}.attn", H[..., :0])
@@ -492,7 +512,7 @@ def synthesis_head(H_i: np.ndarray, weights: dict, band_index: int, bw: int):
     x = pointwise_conv(x, weights[f"{p}.conv2.weight"] * 0.5, weights[f"{p}.conv2.bias"] * 0.5)
     if x.shape[0] != 4 * bw:
         raise ShapeError(f"head {band_index}: pre-GLU channels {x.shape[0]} != {4 * bw}")
-    return glu(x)
+    return glu(x).copy()    # glu's result is a view that would keep all 4*bw rows
 
 
 def generator_forward(
@@ -514,10 +534,6 @@ def generator_forward(
     receptive_field(config) frames, and the last push emits the rest. A
     whole spectrogram is one push with a fresh carry that is also the
     last, and gives X's frame count.
-
-    The blocks run their two halves at once, so while the network runs each
-    half gets blas.share(HALVES) of the BLAS threads in effect; the count
-    in effect is set back before this returns or raises.
     """
     if X.bins.shape[0] != config.F:
         raise ShapeError(f"expected F={config.F}, got {X.bins.shape[0]}")
@@ -525,6 +541,10 @@ def generator_forward(
     dtype = weights["stem.band0.proj.weight"].dtype
     packed = [p.astype(dtype) for p in pack_band_features(X, layout, config.eps)]
 
+    # one split for the whole network, so the stem and heads run on one BLAS
+    # thread too and the blocks' own shared_by makes no BLAS call: faster
+    # than switching the count around each block (perfbench restore_long,
+    # 2 vCPUs)
     with blas.shared_by(HALVES):
         H = stem(packed, weights, config)
         del packed

@@ -112,7 +112,7 @@ def glu(x: np.ndarray) -> np.ndarray:
     channels, which is 2a * sigmoid(2b): the caller feeds half of the value
     and gate pre-activations for the GLU a' * sigmoid(b'). The result is
     written over b, a view of x, so x is overwritten and no new buffer is
-    made."""
+    made; the view keeps all of x alive."""
     n = x.shape[0]
     if n % 2:
         raise ShapeError(f"GLU needs an even channel count, got {n}")

@@ -200,15 +200,12 @@ def test_bench_report(model_files, tmp_path):
 
 
 def test_bench_reports_blas_threads_in_effect(model_files):
-    """The report's threads are the ones the forward ran its GEMMs on: its
-    halves times each half's share of the threads the BLAS probe reads, not
-    a request."""
+    """The report's threads are the ones the BLAS probe reads, not a request."""
     wpath, _, cfg = model_files
-    from vocalrestore.generator import HALVES, load_weights
+    from vocalrestore.generator import load_weights
 
     report = run_bench(load_weights(wpath), cfg, seconds=0.25, runs=1, warmup=0)
-    n = blas_threads_in_effect()
-    assert report.threads == (HALVES * max(1, n // HALVES) if n else 0)
+    assert report.threads == blas_threads_in_effect() >= 0
 
 
 def test_run_bench_deterministic_input(model_files):

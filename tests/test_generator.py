@@ -610,11 +610,9 @@ def test_restore_writes_over_its_input_spectrogram(monkeypatch):
     assert np.shares_memory(seen["stft"].bins, seen["istft"].bins)
 
 
-def test_block_halves_run_on_two_threads(monkeypatch):
-    """Each block runs its temporal path as two band halves at once, one on
-    the caller's thread and one on the worker, and during the network each
-    half runs its GEMMs on blas.share(HALVES) BLAS threads."""
-    cfg = toy_config()
+def _temporal_calls(monkeypatch, cfg, seed):
+    """Runs restore() and records, per _temporal_path call, the block, its
+    band count, its thread and the BLAS threads in effect."""
     calls = []
 
     def temporal(H, weights, config, prefix, *args):
@@ -623,37 +621,59 @@ def test_block_halves_run_on_two_threads(monkeypatch):
 
     real = generator._temporal_path
     monkeypatch.setattr(generator, "_temporal_path", temporal)
-    restore(_wave(20 * cfg.hop, seed=5, sr=cfg.sample_rate), init_weights(cfg, 5), cfg)
+    restore(_wave(20 * cfg.hop, seed=seed, sr=cfg.sample_rate), init_weights(cfg, seed), cfg)
+    return calls
+
+
+def test_block_halves_run_on_two_threads(monkeypatch, blas_at):
+    """With OpenBLAS at 2 threads, each block runs its temporal path as two
+    band halves at once, one on the caller's thread and one on the worker,
+    each with one BLAS thread; the count is 2 again after restore()."""
+    cfg = toy_config()
+    blas_at(generator.HALVES)
+    calls = _temporal_calls(monkeypatch, cfg, 5)
     assert len(calls) == generator.HALVES * cfg.L
     for layer in range(cfg.L):
         mine = [c for c in calls if c[0] == f"block{layer}"]
         assert sorted(c[1] for c in mine) == [cfg.n_band // 2, cfg.n_band // 2]
         assert len({c[2] for c in mine}) == 2
     assert threading.get_ident() in {c[2] for c in calls}
-    if blas.threads():
-        assert {c[3] for c in calls} == {blas.share(generator.HALVES)}
+    assert {c[3] for c in calls} == {1}
+    assert blas.threads() == generator.HALVES
 
 
-def test_restore_sets_blas_threads_back(monkeypatch):
+@pytest.mark.parametrize("n", [1, 4])
+def test_block_runs_whole_at_unmeasured_counts(monkeypatch, blas_at, n):
+    """At a BLAS count other than 2, where the split was never measured, each
+    block runs whole on the caller's thread with the count left as it is."""
+    cfg = toy_config()
+    blas_at(n)
+    calls = _temporal_calls(monkeypatch, cfg, 5)
+    assert [c[1] for c in calls] == [cfg.n_band] * cfg.L
+    assert {c[2:] for c in calls} == {(threading.get_ident(), n)}
+    assert blas.threads() == n
+
+
+def test_restore_sets_blas_threads_back(monkeypatch, blas_at):
     """restore() leaves the BLAS thread count as it found it, both when it
     returns and when the worker's half raises mid-forward; the worker's
     ShapeError reaches the caller as it is."""
-    if not blas.threads():
-        pytest.skip("OpenBLAS cannot be asked for its thread count")
+    blas_at(generator.HALVES)
     cfg = toy_config()
     w = init_weights(cfg, 6)
     x = _wave(20 * cfg.hop, seed=6, sr=cfg.sample_rate)
-    before = blas.threads()
     restore(x, w, cfg)
-    assert blas.threads() == before
+    assert blas.threads() == generator.HALVES
 
     caller = threading.get_ident()
     bad = dict(w)      # pw1 with one row too many: its GLU gets an odd channel count
     for name in ("block1.temporal0.pw1.weight", "block1.temporal0.pw1.bias"):
         bad[name] = np.concatenate([w[name], w[name][:1]])
+    workers = []
 
     def temporal(H, weights, *args):
         if threading.get_ident() != caller:
+            workers.append(threading.get_ident())
             weights = bad
         return real(H, weights, *args)
 
@@ -661,18 +681,20 @@ def test_restore_sets_blas_threads_back(monkeypatch):
     monkeypatch.setattr(generator, "_temporal_path", temporal)
     with pytest.raises(ShapeError, match="even channel count"):
         restore(x, w, cfg)
-    assert blas.threads() == before
+    assert workers
+    assert blas.threads() == generator.HALVES
 
 
 def _restore_shape(x, w, cfg, queue):
     queue.put(restore(x, w, cfg).samples.shape)
 
 
-def test_restore_runs_in_a_forked_child():
+def test_restore_runs_in_a_forked_child(blas_at):
     """A child forked after restore() has run gets a worker of its own: the
     parent's worker thread does not exist in it, and waiting on it hangs."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method")
+    blas_at(generator.HALVES)
     cfg = toy_config()
     w = init_weights(cfg, 7)
     x = _wave(20 * cfg.hop, seed=7, sr=cfg.sample_rate)
@@ -690,18 +712,60 @@ def test_restore_runs_in_a_forked_child():
             child.join()
 
 
-def test_overlapping_blas_shares_set_the_count_back():
+def _blas_after_fork(queue):
+    """In a forked child: the count, then the count after a shared_by body."""
+    found = blas.threads()
+    with blas.shared_by(generator.HALVES) as split:
+        inside = blas.threads()
+    queue.put((found, split, inside, blas.threads()))
+
+
+@pytest.mark.parametrize("held", ["body", "lock"])
+def test_fork_while_blas_is_shared(blas_at, held):
+    """A child forked while another thread is inside a shared_by body, or
+    holds its lock, starts with the count found before the body and can
+    split and set it back: the lowered count and a held lock do not pass
+    into the child."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    blas_at(generator.HALVES)
+    entered, leave = threading.Event(), threading.Event()
+
+    def hold():
+        with blas.shared_by(generator.HALVES) if held == "body" else blas._lock:
+            entered.set()
+            leave.wait(timeout=60)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    entered.wait(timeout=60)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_blas_after_fork, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=60) == (generator.HALVES, True, 1, generator.HALVES)
+    finally:
+        leave.set()
+        holder.join(timeout=60)
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert blas.threads() == generator.HALVES
+
+
+def test_overlapping_blas_shares_set_the_count_back(blas_at):
     """shared_by bodies that overlap in several threads, as concurrent
     restore() calls make them, set the BLAS thread count back to the one
     found before the first began; a per-body save and restore loses it."""
-    if not blas.threads():
-        pytest.skip("OpenBLAS cannot be asked for its thread count")
-    before = blas.threads()
+    blas_at(generator.HALVES)
+    splits = []
 
     def enter_and_leave():
         for _ in range(500):
-            with blas.shared_by(generator.HALVES):
-                pass
+            with blas.shared_by(generator.HALVES) as split:
+                splits.append(split)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -714,7 +778,8 @@ def test_overlapping_blas_shares_set_the_count_back():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
-    assert blas.threads() == before
+    assert splits == [True] * 2000
+    assert blas.threads() == generator.HALVES
 
 
 def test_forward_carry_keeps_boundary_frames():

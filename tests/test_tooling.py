@@ -11,6 +11,7 @@ import numpy as np
 import vocalrestore
 # Every module tracing.LAYERS names must be an attribute of the package.
 from vocalrestore import cli, degrade, discriminator, generator, losses, ranking  # noqa: F401
+from vocalrestore import blas
 from vocalrestore.audio_io import Waveform
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -22,6 +23,12 @@ def _load_tracing(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _halves() -> int:
+    """Halves each block runs as: two where OpenBLAS runs HALVES threads
+    (see generator.band_sequence_block), else one."""
+    return generator.HALVES if blas.threads() == generator.HALVES else 1
 
 
 def test_tracer_install_uninstall(monkeypatch):
@@ -62,7 +69,7 @@ def test_tracer_install_uninstall(monkeypatch):
     # through the names tracing binds. The q/k/v projections are head-major
     # GEMMs in the block itself, not 1x1 convs.
     per_layer = generator.CONVNEXT_BLOCKS_PER_LAYER
-    halves = generator.HALVES * cfg.L
+    halves = _halves() * cfg.L
     assert calls["nncore.pointwise_conv"] == 3 * cfg.n_band + halves * (4 + 2 * per_layer)
     assert calls["nncore.rmsnorm"] == 2 * cfg.n_band + halves * (2 + per_layer)
     for stage in degrade.STAGE_ORDER:     # once in the chain, once in the replay
@@ -92,6 +99,6 @@ def test_tracer_sees_every_chunk(monkeypatch):
     assert calls["generator.restore_chunked"] == 1
     assert calls["generator.forward"] == chunks
     assert calls["generator.block"] == chunks * cfg.L
-    assert calls["nncore.depthwise_conv1d"] == (chunks * cfg.L * generator.HALVES
+    assert calls["nncore.depthwise_conv1d"] == (chunks * cfg.L * _halves()
                                                 * generator.CONVNEXT_BLOCKS_PER_LAYER)
     assert tracer.counts["generator.frames_computed"] == 60
