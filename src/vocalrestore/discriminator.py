@@ -6,6 +6,12 @@ each of the p phase rows is convolved along time) and multi-resolution STFT
 The branches are fixed, and DiscriminatorConfig.branches lists them once.
 Every conv weight is divided by its largest singular value, estimated by
 power iteration with persisted left vectors.
+
+A branch runs in the dtype of the weights it is given (float32 as stored):
+its grid is cast once where it enters the stack, so the patch matrices, the
+GEMMs and the feature maps take that dtype. The STFT grids are computed in
+float64, the power iteration and sigma stay float64, and each score is a
+float64 mean. float64 weights give the float64 reference forward.
 """
 
 from __future__ import annotations
@@ -85,6 +91,8 @@ def spectral_normalize(weight: np.ndarray, state: SpectralNormState, name: str) 
     power iterations warm-started from the vector `state` holds for `name`.
 
     Higher-rank tensors are normalized via their (out_channels, -1) matricization.
+    The persisted vectors are float64, so the iteration and sigma are float64;
+    the normalized kernel keeps the weight's dtype.
     """
     mat = weight.reshape(weight.shape[0], -1)
     u = state.vectors.get(name)
@@ -159,18 +167,17 @@ def _run_stack(x, branch, conv, weights, state) -> BranchOutput:
     kernel, stride = conv
     layers = _layer_table(kernel)
     last = len(layers) - 1
+    x = x.astype(weights[f"{branch}.{layers[0][0]}.weight"].dtype, copy=False)
     feats = []
     for i, (name, _) in enumerate(layers):
         key = f"{branch}.{name}"
         # Positional: a tracing wrapper installed on this name keeps `name` for itself.
-        w = spectral_normalize(
-            weights[f"{key}.weight"].astype(np.float64), state, f"{key}.weight"
-        )
+        w = spectral_normalize(weights[f"{key}.weight"], state, f"{key}.weight")
         x = _conv2d(x, w, weights[f"{key}.bias"], stride if i < last else (1, 1))
         if i < last:
             x = leaky_relu(x)
         feats.append(x)
-    return BranchOutput(float(x.mean()), feats)
+    return BranchOutput(float(x.mean(dtype=np.float64)), feats)
 
 
 def discriminator_forward(

@@ -138,7 +138,8 @@ def adv_loss(fake_scores) -> float:
 def feature_matching(real_feats, fake_feats) -> float:
     """Normalized feature matching: per layer,
     mean|phi(y) - phi(y_hat)| / (mean|phi(y)| + eps), averaged over layers
-    then branches."""
+    then branches. Features are taken in their own dtype (the discriminator's
+    are float32 with stored weights) and both means accumulate in float64."""
     if len(real_feats) != len(fake_feats) or len(real_feats) < 1:
         raise ShapeError(
             f"branch counts differ: {len(real_feats)} vs {len(fake_feats)}"
@@ -149,14 +150,15 @@ def feature_matching(real_feats, fake_feats) -> float:
             raise ShapeError(f"branch {k}: layer counts differ or empty")
         layer_terms = []
         for ell, (r, f) in enumerate(zip(rf, ff)):
-            r = np.asarray(r, dtype=np.float64)
-            f = np.asarray(f, dtype=np.float64)
+            r = np.asarray(r)
+            f = np.asarray(f)
             if r.shape != f.shape:
                 raise ShapeError(
                     f"branch {k} layer {ell}: shapes {r.shape} vs {f.shape}"
                 )
             layer_terms.append(
-                np.mean(np.abs(r - f)) / (np.mean(np.abs(r)) + FM_EPS)
+                np.mean(np.abs(r - f), dtype=np.float64)
+                / (np.mean(np.abs(r), dtype=np.float64) + FM_EPS)
             )
         branch_terms.append(np.mean(layer_terms))
     return float(np.mean(branch_terms))

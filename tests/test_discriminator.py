@@ -13,6 +13,7 @@ from vocalrestore.discriminator import (
     SpectralNormState,
     _conv2d,
     _grid,
+    _layer_table,
     _run_stack,
     discriminator_forward,
     init_discriminator_weights,
@@ -200,12 +201,78 @@ def test_period_fold_shapes():
     assert (f2.shape[1], f3.shape[1]) == (2, 3)
 
 
+def _float64(weights):
+    return {k: v.astype(np.float64) for k, v in weights.items()}
+
+
+def _float64_forward(x, weights):
+    """(score, features) per branch of the float64 forward, layer by layer:
+    the float64 grid through float64-cast normalized kernels and biases."""
+    state = SpectralNormState()
+    outs = []
+    for branch, (kernel, stride), source in CONFIG.branches:
+        grid = _grid(x, source)
+        layers = _layer_table(kernel)
+        feats = []
+        for i, (name, _) in enumerate(layers):
+            key = f"{branch}.{name}"
+            w = spectral_normalize(weights[f"{key}.weight"].astype(np.float64), state,
+                                   f"{key}.weight")
+            last = i == len(layers) - 1
+            grid = _conv2d(grid, w, weights[f"{key}.bias"].astype(np.float64),
+                           (1, 1) if last else stride)
+            if not last:
+                grid = np.maximum(grid, LEAKY_SLOPE * grid)
+            feats.append(grid)
+        outs.append((float(grid.mean()), feats))
+    return outs
+
+
+def test_float32_weights_give_float32_features():
+    """The stored weights set the forward's dtype; scores are Python floats."""
+    w = init_discriminator_weights(CONFIG, 0)
+    for out in discriminator_forward(_wave(MIN_SAMPLES), w, CONFIG):
+        assert isinstance(out.score, float)
+        assert all(f.dtype == np.float32 for f in out.features)
+
+
+def test_float64_weights_give_float64_forward_bitwise():
+    w = init_discriminator_weights(CONFIG, 3)
+    x = _wave(MIN_SAMPLES + 777, seed=3)
+    outs = discriminator_forward(x, _float64(w), CONFIG)
+    for out, (score, feats) in zip(outs, _float64_forward(x, w), strict=True):
+        assert out.score == score
+        assert all(f.dtype == np.float64 and np.array_equal(f, g)
+                   for f, g in zip(out.features, feats, strict=True))
+
+
+# Largest float32-forward deviation from the float64 forward over weight and
+# input seeds 1-10 (the inputs below): features 9.6e-7 of their layer's
+# largest magnitude, scores 5.1e-7 absolute. The bounds are three times that.
+FEATURE_RTOL_F32 = 3e-6
+SCORE_ATOL_F32 = 1.5e-6
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float32_forward_within_bound_of_float64(seed):
+    w = init_discriminator_weights(CONFIG, seed)
+    x = _wave(MIN_SAMPLES + 777, seed=seed)
+    outs = discriminator_forward(x, w, CONFIG)
+    for out, (score, feats) in zip(outs, _float64_forward(x, w), strict=True):
+        assert abs(out.score - score) < SCORE_ATOL_F32
+        for f, g in zip(out.features, feats, strict=True):
+            assert f.shape == g.shape
+            assert np.max(np.abs(f - g)) < FEATURE_RTOL_F32 * np.max(np.abs(g))
+
+
 def test_period_branch_matches_time_major_fold():
     """A period branch on the (p, n/p) fold equals, transposed, the stack of
     (5, 1) convs with stride (3, 1) on the (n/p, p) fold, run by the loop
     oracle with the same normalized weights. Each branch runs on a short
-    fold (the fewest columns it takes, plus a few) to keep the loops fast."""
-    w = init_discriminator_weights(CONFIG, 6)
+    fold (the fewest columns it takes, plus a few) to keep the loops fast.
+    The weights are cast to float64, so the branch runs the float64 forward
+    the 1e-12 bound is for."""
+    w = _float64(init_discriminator_weights(CONFIG, 6))
     names = [f"layer{i}" for i in range(len(CONFIG.channels))] + ["final"]
     for p in CONFIG.periods:
         x = _wave(166 * p + p - 1, seed=6)
@@ -214,7 +281,7 @@ def test_period_branch_matches_time_major_fold():
         grid = x.samples[:166 * p].reshape(-1, p)[None]
         for i, name in enumerate(names):
             key = f"period{p}.{name}"
-            kernel = spectral_normalize(w[f"{key}.weight"].astype(np.float64), state,
+            kernel = spectral_normalize(w[f"{key}.weight"], state,
                                         f"{key}.weight").transpose(0, 1, 3, 2)
             last = name == "final"
             grid = conv2d_loops(grid, kernel, w[f"{key}.bias"], (1, 1) if last else (3, 1))
