@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import ConfigError, VocalRestoreError
+from .errors import ConfigError, ShapeError, VocalRestoreError
 from .spectral import ComplexSpectrogram, StftParams, istft, stft
 
 CORRUPT_WINDOWS = (512, 1024, 2048)
@@ -392,7 +392,10 @@ def apply_chain(wave: Waveform, spec: DegradationSpec):
 
 def replay_trace(wave: Waveform, trace: StageTrace) -> Waveform:
     """Apply the recorded parameters in order; apply_chain runs its stages
-    through this loop, so replay is bit-exact against it."""
+    through this loop, so replay is bit-exact against it. An empty waveform
+    is refused here, before any stage sizes a buffer or an FFT by it."""
+    if not len(wave):
+        raise ShapeError("cannot degrade an empty waveform (0 samples)")
     out = wave
     for entry in trace.entries:
         apply = _stage(entry["stage"])[3]

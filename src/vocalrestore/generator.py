@@ -3,7 +3,10 @@ heads, reassembly, plus weight init/serialization and waveform restoration.
 
 The network runs in the weights' dtype (float32 as stored) from the stem to
 the synthesis heads; the STFT, band packing and reassembly stay in float64.
-All operations are deterministic.
+All operations are deterministic. Where OpenBLAS runs 2 threads, each block
+runs as two halves, one on the caller's thread and one on the worker that
+blas.halves() hands out (see band_sequence_block); the module itself keeps
+no threads and no state between calls.
 
 The stage functions take the weights as stored. The per-channel factors that
 sit next to a 1x1 conv are folded into that conv where it is used, so no
@@ -23,7 +26,6 @@ whole model is kept.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from concurrent import futures
 from dataclasses import dataclass, asdict, fields
@@ -52,22 +54,6 @@ CONVNEXT_BLOCKS_PER_LAYER = 3  # dilations {1, d, 1}
 # Frames per restore() push: the block stack never holds more than one
 # chunk plus its carries, whatever the length.
 CHUNK_FRAMES = 128
-# band_sequence_block runs each block as exactly two halves, one on the
-# caller's thread and one on _worker, whose one thread starts on the first
-# submit, not at import. HALVES names that count for the BLAS split only:
-# the slices and the single worker are written for two.
-HALVES = 2
-
-
-def _new_worker() -> None:
-    """Give the process its own worker: a forked child inherits the parent's
-    executor but not its thread, and would wait on it for ever."""
-    global _worker
-    _worker = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="vocalrestore-half")
-
-
-_new_worker()
-os.register_at_fork(after_in_child=_new_worker)
 
 
 @dataclass(frozen=True)
@@ -458,12 +444,12 @@ def band_sequence_block(
     temporal stream carries H; the attention pathway's output adds onto it.
     Takes the raw weights; each pathway folds its own slice at use.
 
-    Where blas.shared_by(HALVES) splits the BLAS (OpenBLAS at 2 threads, the
+    Where blas.halves() hands out its worker (OpenBLAS at 2 threads, the
     only count measured), the block runs as two halves (see _half) with one
     BLAS thread each: the lower bands and frames on the caller's thread, the
-    upper ones on the worker, joined once both are done. Either half may be
-    empty (one band, or fewer than two frames). At any other count it runs
-    as one half on the caller's thread.
+    upper ones submitted to that worker, joined once both are done. Either
+    half may be empty (one band, or fewer than two frames). At any other
+    count it runs as one half on the caller's thread.
 
     carry and last are generator_forward's: the block returns the frames its
     temporal path completes, and holds the attention output of the frames
@@ -476,10 +462,10 @@ def band_sequence_block(
     out = np.empty((N, nb, _temporal_frames(T, config, layer_index, carry, last)), H.dtype)
     attention = np.empty_like(H)
     args = (H, weights, config, layer_index, carry, last)
-    with blas.shared_by(HALVES) as split:
-        if split:
-            upper = _worker.submit(_half, *args, slice(nb // 2, nb), slice(T // 2, T),
-                                   out, attention)
+    with blas.halves() as worker:
+        if worker is not None:
+            upper = worker.submit(_half, *args, slice(nb // 2, nb), slice(T // 2, T),
+                                  out, attention)
             try:
                 lower = _half(*args, slice(0, nb // 2), slice(0, T // 2), out, attention)
             finally:
@@ -542,10 +528,10 @@ def generator_forward(
     packed = [p.astype(dtype) for p in pack_band_features(X, layout, config.eps)]
 
     # one split for the whole network, so the stem and heads run on one BLAS
-    # thread too and the blocks' own shared_by makes no BLAS call: faster
+    # thread too and the blocks' own halves() makes no BLAS call: faster
     # than switching the count around each block (perfbench restore_long,
     # 2 vCPUs)
-    with blas.shared_by(HALVES):
+    with blas.halves():
         H = stem(packed, weights, config)
         del packed
         for layer in range(config.L):

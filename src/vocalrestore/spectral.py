@@ -25,8 +25,11 @@ COLA_FLOOR = 1e-8
 
 @lru_cache(maxsize=32)
 def _window(n_fft: int) -> np.ndarray:
-    # Periodic Hann: COLA-compliant at 50% overlap.
-    return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft))
+    """Periodic Hann, COLA-compliant at 50% overlap; read-only, because every
+    caller on this n_fft shares the cached array."""
+    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft))
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,8 @@ def _with_eps(value):
     (_SPEC, {"chain.spec": "[clip]\nprob = 1\ndrive = 1..z\n"},
      1, "clip.drive: expected float, got 'z'"),
     (_DEGRADE + ["--seed", "-1"], {}, 1, "seed must be >= 0, got -1"),
+    (["degrade", "--in", "e.wav", "--out", "o.wav", "--seed", "2"], {},
+     1, "cannot degrade an empty waveform (0 samples)"),
     (_RESTORE_EPS, {"eps.cfg": _with_eps("nan")},
      1, "eps must be finite and >= 0, got nan"),
     (_RESTORE_EPS, {"eps.cfg": _with_eps("-1")},
@@ -352,8 +354,8 @@ def _with_eps(value):
     (["rank", "--csv", "c.csv"], {"c.csv": "system_a,system_b,outcome\nx,y,a\nx,y,c\n"},
      1, "CSV line 3: outcome must be a|b|tie, got 'c'"),
 ], ids=["eval_rate_mismatch", "rank_short_row", "spec_seed_x", "spec_prob_half",
-        "spec_range_z", "degrade_seed_negative", "eps_nan", "eps_negative", "bench_runs_0",
-        "bench_warmup_negative", "bench_seconds_0", "bench_seconds_inf",
+        "spec_range_z", "degrade_seed_negative", "degrade_empty", "eps_nan", "eps_negative",
+        "bench_runs_0", "bench_warmup_negative", "bench_seconds_0", "bench_seconds_inf",
         "bench_seconds_under_one_sample", "restore_out_dir_missing",
         "rank_bad_outcome"])
 def test_bad_input_names_cause(model_files, tmp_path, monkeypatch, capsys, argv, files, code,
@@ -363,6 +365,7 @@ def test_bad_input_names_cause(model_files, tmp_path, monkeypatch, capsys, argv,
     monkeypatch.chdir(tmp_path)
     _write_noise("a16.wav", sr=16000)
     _write_noise("a48.wav", sr=48000)
+    _write_noise("e.wav", n=0, sr=48000)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert main(argv) == code

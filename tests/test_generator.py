@@ -630,16 +630,16 @@ def test_block_halves_run_on_two_threads(monkeypatch, blas_at):
     band halves at once, one on the caller's thread and one on the worker,
     each with one BLAS thread; the count is 2 again after restore()."""
     cfg = toy_config()
-    blas_at(generator.HALVES)
+    blas_at(2)
     calls = _temporal_calls(monkeypatch, cfg, 5)
-    assert len(calls) == generator.HALVES * cfg.L
+    assert len(calls) == 2 * cfg.L
     for layer in range(cfg.L):
         mine = [c for c in calls if c[0] == f"block{layer}"]
         assert sorted(c[1] for c in mine) == [cfg.n_band // 2, cfg.n_band // 2]
         assert len({c[2] for c in mine}) == 2
     assert threading.get_ident() in {c[2] for c in calls}
     assert {c[3] for c in calls} == {1}
-    assert blas.threads() == generator.HALVES
+    assert blas.threads() == 2
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -658,12 +658,12 @@ def test_restore_sets_blas_threads_back(monkeypatch, blas_at):
     """restore() leaves the BLAS thread count as it found it, both when it
     returns and when the worker's half raises mid-forward; the worker's
     ShapeError reaches the caller as it is."""
-    blas_at(generator.HALVES)
+    blas_at(2)
     cfg = toy_config()
     w = init_weights(cfg, 6)
     x = _wave(20 * cfg.hop, seed=6, sr=cfg.sample_rate)
     restore(x, w, cfg)
-    assert blas.threads() == generator.HALVES
+    assert blas.threads() == 2
 
     caller = threading.get_ident()
     bad = dict(w)      # pw1 with one row too many: its GLU gets an odd channel count
@@ -682,7 +682,7 @@ def test_restore_sets_blas_threads_back(monkeypatch, blas_at):
     with pytest.raises(ShapeError, match="even channel count"):
         restore(x, w, cfg)
     assert workers
-    assert blas.threads() == generator.HALVES
+    assert blas.threads() == 2
 
 
 def _restore_shape(x, w, cfg, queue):
@@ -694,7 +694,7 @@ def test_restore_runs_in_a_forked_child(blas_at):
     parent's worker thread does not exist in it, and waiting on it hangs."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method")
-    blas_at(generator.HALVES)
+    blas_at(2)
     cfg = toy_config()
     w = init_weights(cfg, 7)
     x = _wave(20 * cfg.hop, seed=7, sr=cfg.sample_rate)
@@ -713,26 +713,31 @@ def test_restore_runs_in_a_forked_child(blas_at):
 
 
 def _blas_after_fork(queue):
-    """In a forked child: the count, then the count after a shared_by body."""
+    """In a forked child: the count, the count inside a halves body and in a
+    task run on the worker it yields, then the count after the body."""
     found = blas.threads()
-    with blas.shared_by(generator.HALVES) as split:
+    with blas.halves() as worker:
         inside = blas.threads()
-    queue.put((found, split, inside, blas.threads()))
+        on_worker = worker.submit(blas.threads).result(timeout=30)
+    queue.put((found, inside, on_worker, blas.threads()))
 
 
 @pytest.mark.parametrize("held", ["body", "lock"])
 def test_fork_while_blas_is_shared(blas_at, held):
-    """A child forked while another thread is inside a shared_by body, or
+    """A child forked while another thread is inside a halves body, or
     holds its lock, starts with the count found before the body and can
-    split and set it back: the lowered count and a held lock do not pass
-    into the child."""
+    split, run a task on its own worker and set the count back: the lowered
+    count, a held lock and the parent's worker thread do not pass into the
+    child."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method")
-    blas_at(generator.HALVES)
+    blas_at(2)
+    with blas.halves() as worker:
+        worker.submit(int).result(timeout=60)    # the parent's worker thread now runs
     entered, leave = threading.Event(), threading.Event()
 
     def hold():
-        with blas.shared_by(generator.HALVES) if held == "body" else blas._lock:
+        with blas.halves() if held == "body" else blas._lock:
             entered.set()
             leave.wait(timeout=60)
 
@@ -744,7 +749,7 @@ def test_fork_while_blas_is_shared(blas_at, held):
     child = ctx.Process(target=_blas_after_fork, args=(queue,))
     child.start()
     try:
-        assert queue.get(timeout=60) == (generator.HALVES, True, 1, generator.HALVES)
+        assert queue.get(timeout=60) == (2, 1, 1, 2)
     finally:
         leave.set()
         holder.join(timeout=60)
@@ -752,20 +757,21 @@ def test_fork_while_blas_is_shared(blas_at, held):
         if child.is_alive():
             child.kill()
             child.join()
-    assert blas.threads() == generator.HALVES
+    assert blas.threads() == 2
 
 
 def test_overlapping_blas_shares_set_the_count_back(blas_at):
-    """shared_by bodies that overlap in several threads, as concurrent
-    restore() calls make them, set the BLAS thread count back to the one
-    found before the first began; a per-body save and restore loses it."""
-    blas_at(generator.HALVES)
-    splits = []
+    """halves bodies that overlap in several threads, as concurrent
+    restore() calls make them, each get the one worker and set the BLAS
+    thread count back to the one found before the first began; a per-body
+    save and restore loses it."""
+    blas_at(2)
+    workers_seen = []
 
     def enter_and_leave():
         for _ in range(500):
-            with blas.shared_by(generator.HALVES) as split:
-                splits.append(split)
+            with blas.halves() as worker:
+                workers_seen.append(worker)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -778,8 +784,35 @@ def test_overlapping_blas_shares_set_the_count_back(blas_at):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
-    assert splits == [True] * 2000
-    assert blas.threads() == generator.HALVES
+    assert len(workers_seen) == 2000 and all(w is blas._worker for w in workers_seen)
+    assert blas.threads() == 2
+
+
+def test_concurrent_restores_match_serial(monkeypatch, blas_at):
+    """Two restore() calls at once in two threads share the one worker:
+    each output is bitwise the one its call gives alone, and the BLAS
+    count is 2 again after."""
+    blas_at(2)
+    monkeypatch.setattr(generator, "CHUNK_FRAMES", 16)   # several pushes each
+    cfg = toy_config()
+    w = _gamma_weights(cfg, 8, 0.5)
+    xs = [_wave(n * cfg.hop, seed=n, sr=cfg.sample_rate) for n in (40, 57)]
+    serial = [restore(x, w, cfg).samples for x in xs]
+    for _ in range(5):
+        got = [None, None]
+
+        def run(i):
+            got[i] = restore(xs[i], w, cfg).samples
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in callers)
+        for mine, alone in zip(got, serial):
+            assert mine is not None and np.array_equal(mine, alone)
+    assert blas.threads() == 2
 
 
 def test_forward_carry_keeps_boundary_frames():

@@ -97,6 +97,17 @@ def test_magnitude():
     assert np.allclose(magnitude(spec), np.abs(spec.bins))
 
 
+def test_cached_window_is_read_only():
+    """window_array() hands out the one cached window of its n_fft: writing
+    to it raises, so no caller can change the stft of every other."""
+    x = _wave(1000, seed=2)
+    before = stft(x, TOY).bins
+    window = TOY.window_array()
+    with pytest.raises(ValueError, match="read-only"):
+        window *= 2
+    assert np.array_equal(stft(x, TOY).bins, before)
+
+
 def test_empty_input_rejected():
     with pytest.raises(ShapeError, match="cannot transform an empty waveform"):
         stft(Waveform(np.zeros(0), 16000), TOY)

@@ -4,6 +4,7 @@ through a captured object, would silently break ``run.py --trace 1``."""
 
 import importlib.util
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -15,6 +16,7 @@ from vocalrestore import blas
 from vocalrestore.audio_io import Waveform
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SRC = pathlib.Path(vocalrestore.__file__).resolve().parent
 
 
 def _load_tracing(monkeypatch):
@@ -26,9 +28,10 @@ def _load_tracing(monkeypatch):
 
 
 def _halves() -> int:
-    """Halves each block runs as: two where OpenBLAS runs HALVES threads
-    (see generator.band_sequence_block), else one."""
-    return generator.HALVES if blas.threads() == generator.HALVES else 1
+    """Halves each block runs as: two where blas.halves() hands out its
+    worker (see generator.band_sequence_block), else one."""
+    with blas.halves() as worker:
+        return 1 if worker is None else 2
 
 
 def test_tracer_install_uninstall(monkeypatch):
@@ -102,3 +105,12 @@ def test_tracer_sees_every_chunk(monkeypatch):
     assert calls["nncore.depthwise_conv1d"] == (chunks * cfg.L * _halves()
                                                 * generator.CONVNEXT_BLOCKS_PER_LAYER)
     assert tracer.counts["generator.frames_computed"] == 60
+
+
+def test_only_blas_makes_threads_and_fork_hooks():
+    """blas owns the one worker thread beside the BLAS count it shares, and
+    the one at-fork hook that resets both: an executor or a hook in another
+    module would split that state again."""
+    owners = {path.name for path in SRC.glob("*.py")
+              if re.search(r"register_at_fork\(|ThreadPoolExecutor\(", path.read_text())}
+    assert owners == {"blas.py"}
