@@ -11,7 +11,9 @@ add_noise -> spectral_corrupt -> time_varying_gain.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +25,10 @@ CORRUPT_WINDOWS = (512, 1024, 2048)
 CORRUPT_HOPS = (256, 512, 1024)
 CLIP_CURVES = ("hard", "tanh", "cubic")
 FREQ_SHAPE_POINTS = 5
+# _low_bin_envelope's blocks: bins per GEMM pair, and envelope entries
+# added at once (4 MiB)
+_ENVELOPE_BINS = 64
+_ENVELOPE_CHUNK = 1 << 19
 
 
 def _check_bounds(stage: str, **values) -> None:
@@ -96,15 +102,42 @@ def clip(wave: Waveform, curve: str, drive: float) -> Waveform:
     return Waveform(y, wave.sample_rate)
 
 
-def pink_noise(n: int, seed: int) -> np.ndarray:
-    """Seeded pink (1/f) noise of unit RMS via spectral shaping."""
-    rng = _rng(seed)
-    white = rng.standard_normal(n)
-    spec = np.fft.rfft(white)
-    f = np.arange(len(spec), dtype=np.float64)
+@lru_cache(maxsize=1)
+def _pink_kernel(n: int) -> tuple:
+    """(M, H): the FFT length pink_noise filters n samples at, and the
+    spectrum there of its circular 1/sqrt(f) kernel h = irfft(1/sqrt(f), n).
+    M is n where n is 5-smooth, which numpy's pocketfft transforms without a
+    Bluestein step; otherwise the smallest 5-smooth M >= 2n - 1, where the
+    linear convolution with h folds back onto the circular one. One entry,
+    read-only: a replay after its chain, or a run of crops of one length,
+    shares it, and memory stays at one kernel (about 16 n bytes). scipy is
+    imported here, not at module level, to keep it out of the CLI's start-up."""
+    from scipy.fft import next_fast_len   # 5-smooth lengths with real=True
+
+    f = np.arange(n // 2 + 1, dtype=np.float64)
     f[0] = 1.0
-    spec /= np.sqrt(f)
-    out = np.fft.irfft(spec, n=n)
+    H = 1.0 / np.sqrt(f)
+    M = n if next_fast_len(n, real=True) == n else next_fast_len(2 * n - 1, real=True)
+    if M != n:
+        H = np.fft.rfft(np.fft.irfft(H, n), M)
+    H.flags.writeable = False
+    return M, H
+
+
+def pink_noise(n: int, seed: int) -> np.ndarray:
+    """Seeded pink (1/f) noise of unit RMS: white noise with its bin k scaled
+    by 1/sqrt(k) (bin 0 kept), that is, circularly convolved with
+    irfft(1/sqrt(f), n). The convolution runs at the 5-smooth FFT length of
+    _pink_kernel, so no transform runs at a length with large prime factors
+    once the kernel is cached."""
+    white = _rng(seed).standard_normal(n)
+    M, H = _pink_kernel(n)
+    spec = np.fft.rfft(white, M)
+    spec *= H
+    z = np.fft.irfft(spec, M)
+    out = z[:n]
+    if M != n:
+        out[:n - 1] += z[n:2 * n - 1]
     return out / max(np.sqrt(np.mean(out ** 2)), 1e-12)
 
 
@@ -154,28 +187,82 @@ def spectral_corrupt(
     bins = stft(wave, params).bins
     keep = rng.random(bins.shape) >= mask_fraction
     jitter = rng.normal(0.0, phase_noise_std, size=bins.shape)
-    # |X| * keep * exp(i (angle(X) + jitter)) = X * keep * exp(i jitter).
-    corrupted = ComplexSpectrogram(bins * (keep * np.exp(1j * jitter)), params)
-    return istft(corrupted, len(wave), wave.sample_rate)
+    # |X| * keep * exp(i (angle(X) + jitter)) = X * keep * exp(i jitter),
+    # with exp(i jitter) written as cos + i sin into one buffer
+    rot = np.empty(bins.shape, np.complex128)
+    np.cos(jitter, out=rot.real)
+    np.sin(jitter, out=rot.imag)
+    rot *= keep
+    rot *= bins
+    return istft(ComplexSpectrogram(rot, params), len(wave), wave.sample_rate)
+
+
+def _twiddles(k: np.ndarray, n: int, B: int, S: int) -> tuple:
+    """cos/sin of bins k's phases on the (B, S) fold of n samples: the column
+    table [cos | sin] of 2 pi k s / n, (S, 2 len(k)), and the cos and sin of
+    the row phases 2 pi k b S / n, (B, len(k)). Each phase index is an
+    integer below 2^53 reduced mod n first, exactly in float64 (faster than
+    int64 %), so no phase loses precision at any length."""
+    col = np.outer(np.arange(S, dtype=np.float64), k)
+    row = np.outer(np.arange(B, dtype=np.float64), k * S % n)
+    for phase in (col, row):
+        phase -= n * np.floor(phase / n)
+        phase *= 2.0 * np.pi / n
+    return np.concatenate([np.cos(col), np.sin(col)], axis=1), np.cos(row), np.sin(row)
+
+
+def _low_bin_envelope(x: np.ndarray, n: int, K: int) -> np.ndarray:
+    """irfft(rfft(signal) with the bins above K zeroed, n) for K <= n // 2,
+    from bins 0..K alone; x is the n-sample signal zero-padded to (B, S)
+    rows. Bin k's twiddle at sample b*S + s is a column phase k*s times a
+    row phase k*b*S, so each block of _ENVELOPE_BINS bins takes one GEMM
+    against its column table to get X_k and one back. The tables hold
+    (B + S) * 2 * _ENVELOPE_BINS doubles (3.5 MiB at 240 s of 48 kHz), and
+    later blocks add into the envelope _ENVELOPE_CHUNK entries at a time."""
+    B, S = x.shape
+    rows = max(1, _ENVELOPE_CHUNK // S)
+    env = np.empty((B, S))
+    for k0 in range(0, K + 1, _ENVELOPE_BINS):
+        k = np.arange(k0, min(k0 + _ENVELOPE_BINS, K + 1))
+        table, rc, rs = _twiddles(k, n, B, S)
+        # X_k = sum_b e^{-i row} sum_s x e^{-i col}, the inner sum re - i im,
+        # times irfft's weights: 1/n on bin 0 and bin n/2, 2/n on the others
+        y = x @ table
+        re, im = y[:, :len(k)], y[:, len(k):]
+        scale = np.where((k == 0) | (2 * k == n), 1.0, 2.0) / n
+        xr = scale * np.sum(rc * re - rs * im, axis=0)
+        xi = -scale * np.sum(rs * re + rc * im, axis=0)
+        # env[b, s] = sum_k Re(X_k e^{i row} e^{i col})
+        p = np.concatenate([xr * rc - xi * rs, -(xr * rs + xi * rc)], axis=1)
+        if k0 == 0:
+            np.matmul(p, table.T, out=env)
+        else:
+            for r in range(0, B, rows):
+                env[r:r + rows] += p[r:r + rows] @ table.T
+    return env.reshape(-1)[:n]
 
 
 def time_varying_gain(
     wave: Waveform, cutoff_hz: float, depth: float, seed: int
 ) -> Waveform:
     """Multiply by a smooth random gain envelope g(t) in [1-depth, 1+depth],
-    built by brick-wall lowpassing seeded white noise and renormalizing its
-    peak."""
+    built by brick-wall lowpassing seeded white noise (keeping the rfft bins
+    at or below cutoff_hz) and renormalizing its peak. The kept bins are few,
+    K + 1 <= 20 Hz * seconds + 1, so _low_bin_envelope evaluates them by GEMM
+    and no transform runs at the clip's length."""
     _check_bounds("time_varying_gain", cutoff_hz=cutoff_hz, depth=depth)
     n = len(wave)
-    noise = _rng(seed).standard_normal(n)
-    spec = np.fft.rfft(noise)
-    f = np.fft.rfftfreq(n, d=1.0 / wave.sample_rate)
-    spec[f > cutoff_hz] = 0.0
-    env = np.fft.irfft(spec, n=n)
-    peak = np.max(np.abs(env))
+    K = int(np.count_nonzero(np.fft.rfftfreq(n, d=1.0 / wave.sample_rate) <= cutoff_hz)) - 1
+    S = math.isqrt(n - 1) + 1
+    noise = np.zeros((-(-n // S), S))
+    _rng(seed).standard_normal(out=noise.reshape(-1)[:n])
+    g = _low_bin_envelope(noise, n, K)
+    del noise
+    peak = np.max(np.abs(g))
     if peak > 0:
-        env = env / peak
-    g = 1.0 + depth * env
+        g /= peak
+    g *= depth
+    g += 1.0
     return Waveform(g * wave.samples, wave.sample_rate)
 
 

@@ -51,8 +51,18 @@ class StftParams:
         return _window(self.n_fft)
 
     def frames(self, n_samples: int) -> int:
-        """Number of frames stft() gives for n_samples >= 1 samples."""
-        return 1 + n_samples // self.hop
+        """Number of frames stft() gives for n_samples >= 1 samples: one per
+        hop, plus one more where only the far tail of the frames' windows
+        reaches the last sample (squared-window sum <= COLA_FLOOR), which
+        istft could not invert there. At hop = n_fft/2 that is the case for
+        a few residues of n_samples mod hop."""
+        t = 1 + n_samples // self.hop
+        last = n_samples - 1 + self.n_fft // 2         # in padded coordinates
+        first = max(0, (last - self.n_fft) // self.hop + 1)
+        offsets = last - self.hop * np.arange(first, t)
+        if np.sum(self.window_array()[offsets] ** 2) <= COLA_FLOOR:
+            t += 1
+        return t
 
 
 SPEC_RESOLUTIONS = (
@@ -93,9 +103,11 @@ def stft(wave: Waveform, params: StftParams) -> ComplexSpectrogram:
         raise ShapeError("cannot transform an empty waveform")
 
     n_fft, hop = params.n_fft, params.hop
-    # center the frames; reflect padding needs at least two samples
-    x = np.pad(x, n_fft // 2, mode="reflect" if len(x) > 1 else "constant")
-    n_frames = params.frames(len(wave.samples))
+    n_frames = params.frames(len(x))
+    # center the frames, and pad the end further for frames()'s extra frame;
+    # reflect padding needs at least two samples
+    end = max(n_fft // 2, (n_frames - 1) * hop + n_fft // 2 - len(x))
+    x = np.pad(x, (n_fft // 2, end), mode="reflect" if len(x) > 1 else "constant")
 
     frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop][:n_frames]
     spec = np.fft.rfft(frames * params.window_array(), axis=1).T

@@ -101,9 +101,21 @@ def test_degrade_deterministic(tmp_path):
                  "--trace-out", str(tmp_path / "t2.jsonl")]) == EXIT_OK
     a, b = read_wav(out1), read_wav(out2)
     assert np.array_equal(a.samples, b.samples)
-    lines = [json.loads(l) for l in open(trace) if l.strip()]
+    lines = [json.loads(l) for l in pathlib.Path(trace).read_text().splitlines() if l.strip()]
     for entry in lines:
         assert {"stage", "params"} <= set(entry)
+
+
+def test_degrade_where_a_window_tail_covers_the_last_sample(tmp_path):
+    """At 96255 samples (511 past a multiple of 512) the chain --seed 2
+    draws resynthesizes spectral_corrupt at n_fft 1024, hop 512, where only
+    the last frame's window tail reaches the last sample; the STFT's extra
+    frame keeps it invertible."""
+    inp, out = str(tmp_path / "in.wav"), str(tmp_path / "out.wav")
+    _write_noise(inp, n=96255, sr=48000)
+    assert main(["degrade", "--in", inp, "--out", out, "--seed", "2"]) == EXIT_OK
+    y = read_wav(out)
+    assert len(y) == 96255 and np.all(np.isfinite(y.samples))
 
 
 def test_degrade_with_spec_file(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from vocalrestore.degrade import (
     DegradationSpec,
     StageConfig,
     StageTrace,
+    _pink_kernel,
     add_noise,
     apply_chain,
     clip,
@@ -141,6 +144,83 @@ def test_pink_noise_properties():
     assert low > 10 * high
 
 
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+# n = 1 and 2, primes (3, 7, 79579), odd and even lengths that fold back
+# from a fast length, and 5-smooth lengths (4096, 48000, 72000, 144000),
+# which filter at n itself
+NOISE_LENGTHS = [1, 2, 3, 7, 100, 1001, 4096, 48000, 72000, 79579, 136421, 144000]
+
+
+@pytest.mark.parametrize("n", NOISE_LENGTHS)
+def test_pink_noise_matches_length_n_filter(n):
+    """The fast-length convolution gives the length-n spectral filter,
+    irfft(rfft(white) / sqrt(f), n), to within 1e-12 of its unit RMS."""
+    spec = np.fft.rfft(_philox(4).standard_normal(n))
+    f = np.arange(len(spec), dtype=np.float64)
+    f[0] = 1.0
+    want = np.fft.irfft(spec / np.sqrt(f), n=n)
+    want /= np.sqrt(np.mean(want ** 2))
+    assert np.max(np.abs(pink_noise(n, seed=4) - want)) < 1e-12
+
+
+def test_pink_noise_cache_hit_equals_miss():
+    """The one cached kernel is a pure function of n: a hit gives the miss's
+    noise bitwise, with another length (a 5-smooth one and one that folds)
+    filtered in between, and the cached spectrum cannot be written."""
+    first = pink_noise(79579, seed=2)
+    assert np.array_equal(pink_noise(79579, seed=2), first)
+    for other in (144000, 1001):
+        pink_noise(other, seed=2)
+        assert np.array_equal(pink_noise(79579, seed=2), first)
+    _, H = _pink_kernel(79579)
+    with pytest.raises(ValueError):
+        H[0] = 0.0
+
+
+def _lowpassed(n, sr, cutoff_hz, seed):
+    """time_varying_gain's envelope as a length-n transform pair: the noise's
+    bins above cutoff_hz zeroed, then peak-normalized."""
+    spec = np.fft.rfft(_philox(seed).standard_normal(n))
+    spec[np.fft.rfftfreq(n, d=1.0 / sr) > cutoff_hz] = 0.0
+    env = np.fft.irfft(spec, n=n)
+    return env / np.max(np.abs(env))
+
+
+@pytest.mark.parametrize("n", NOISE_LENGTHS)
+@pytest.mark.parametrize("sr, cutoff_hz", [(48000, 0.5), (48000, 7.9), (16000, 20.0),
+                                           (40, 20.0), (40, 7.9)])
+def test_time_varying_gain_matches_length_n_lowpass(n, sr, cutoff_hz):
+    """The envelope from bins 0..K by GEMM equals the brick-wall lowpass
+    through length-n transforms within 1e-12 of its peak, 1, including the
+    Nyquist bin (sr = 40 Hz at a 20 Hz cutoff keeps every bin)."""
+    x = Waveform(np.linspace(0.5, 1.0, n), sr)
+    got = time_varying_gain(x, cutoff_hz, 0.25, seed=6).samples
+    want = (1.0 + 0.25 * _lowpassed(n, sr, cutoff_hz, 6)) * x.samples
+    assert np.max(np.abs(got - want)) < 0.25 * 1e-12
+
+
+def test_time_varying_gain_blocks_of_bins():
+    """Past one block of bins the envelope accumulates block by block: 60 s
+    at a 20 Hz cutoff keeps 1201 bins. It stays within 1e-12 of the peak, and
+    its traced memory peak stays at or below the length-n formula's."""
+    sr, n = SR, 60 * SR + 7
+    x = Waveform(np.ones(n), sr)
+    tracemalloc.start()
+    try:
+        want = (1.0 + 0.5 * _lowpassed(n, sr, 20.0, 8)) * x.samples
+        held, formula_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        got = time_varying_gain(x, 20.0, 0.5, seed=8).samples
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(got - want)) < 0.5 * 1e-12
+    assert peak - held <= formula_peak, (peak - held, formula_peak)
+
+
 @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 10.0, 30.0])
 def test_add_noise_snr_exact(snr_db):
     x = _wave(seed=6)
@@ -210,19 +290,24 @@ def test_spectral_corrupt_mask_removes_energy():
 
 @pytest.mark.parametrize("n_fft, hop", [(512, 256), (1024, 256), (2048, 1024)])
 def test_spectral_corrupt_matches_polar_form(n_fft, hop):
-    """Rotating the bins by keep * exp(i * jitter) gives the polar form
-    |X| * keep * exp(i * (angle(X) + jitter)), from the same two draws, to
-    within 1e-12 of the output RMS."""
+    """Rotating the bins by keep * (cos + i sin) of the jitter gives the
+    polar form |X| * keep * exp(i * (angle(X) + jitter)), from the same two
+    draws, to within 1e-12 of the output RMS, and the complex exponential
+    form istft(bins * (keep * exp(i * jitter))) to within 1e-14 of its
+    peak."""
     x = _wave(seed=12)
     params = StftParams(n_fft=n_fft, hop=hop)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
     bins = stft(x, params).bins
     keep = rng.random(bins.shape) >= 0.3
-    phase = np.angle(bins) + rng.normal(0.0, 0.8, size=bins.shape)
-    polar = ComplexSpectrogram(np.abs(bins) * keep * np.exp(1j * phase), params)
-    want = istft(polar, len(x), SR).samples
+    jitter = rng.normal(0.0, 0.8, size=bins.shape)
+    polar = np.abs(bins) * keep * np.exp(1j * (np.angle(bins) + jitter))
+    want = istft(ComplexSpectrogram(polar, params), len(x), SR).samples
+    rotated = bins * (keep * np.exp(1j * jitter))
+    want_exp = istft(ComplexSpectrogram(rotated, params), len(x), SR).samples
     got = spectral_corrupt(x, 0.3, 0.8, seed=7, n_fft=n_fft, hop=hop).samples
     assert np.max(np.abs(got - want)) < 1e-12 * np.sqrt(np.mean(want ** 2))
+    assert np.max(np.abs(got - want_exp)) < 1e-14 * np.max(np.abs(want_exp))
 
 
 def test_time_varying_gain_bounds_and_smoothness():

@@ -537,6 +537,18 @@ def test_restore_sample_rate_check():
         restore(_wave(1000, sr=48000), w, cfg)
 
 
+def test_restore_where_a_window_tail_covers_the_last_sample():
+    """At the full config (n_fft 4096, hop 2048), 51199 samples leave the
+    last sample in the far tail of the last frame's window (overlap 5.5e-12
+    with 1 + n // hop frames); the STFT's extra frame gives every sample its
+    full overlap, so restore() returns all of them."""
+    cfg = ModelConfig()
+    x = _wave(51199, seed=4, sr=cfg.sample_rate)
+    assert cfg.stft_params.frames(len(x)) == 2 + len(x) // cfg.hop
+    out = restore(x, init_weights(cfg, 0), cfg)
+    assert len(out) == len(x) and np.all(np.isfinite(out.samples))
+
+
 def _single_pass(x, w, cfg):
     """stft -> generator_forward over the whole spectrogram -> istft."""
     X = stft(x, StftParams(n_fft=cfg.n_fft, hop=cfg.hop))

@@ -36,6 +36,31 @@ def test_frame_count():
         assert spec.bins.shape == (129, 1 + n // 128) == (129, TOY.frames(n))
 
 
+@pytest.mark.parametrize("n_fft, hop, critical", [(4096, 2048, range(2036, 2048)),
+                                                 (2048, 1024, range(1019, 1024)),
+                                                 (1024, 512, (510, 511)),
+                                                 (512, 256, ())])
+def test_extra_frame_where_a_window_tail_covers_the_last_sample(n_fft, hop, critical):
+    """At hop = n_fft/2 the last sample of a length a few samples short of a
+    hop multiple lies in the far tail of the last frame's window alone,
+    below the COLA floor. Exactly there stft() takes one more frame, and the
+    round trip is exact; every other length keeps 1 + n // hop frames and
+    the bins of the plain reflect-padded framing."""
+    params = StftParams(n_fft=n_fft, hop=hop)
+    window = params.window_array()
+    for r in sorted({0, 1, hop // 2, *range(hop - 16, hop)}):
+        n = 3 * hop + r
+        x = _wave(n, seed=r)
+        spec = stft(x, params)
+        assert spec.n_frames == params.frames(n) == 1 + n // hop + (r in critical)
+        assert np.max(np.abs(istft(spec, n, 16000).samples - x.samples)) < 1e-9
+        if r not in critical:
+            padded = np.pad(x.samples, n_fft // 2, mode="reflect")
+            frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop]
+            want = np.fft.rfft(frames[:1 + n // hop] * window, axis=1).T
+            assert np.array_equal(spec.bins, want)
+
+
 def test_round_trip_exact():
     x = _wave(48000, seed=1)
     rec = istft(stft(x, TOY), len(x.samples), x.sample_rate)

@@ -3,8 +3,10 @@ the package; a refactor that renames one, or that calls a stage function
 through a captured object, would silently break ``run.py --trace 1``."""
 
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -114,3 +116,15 @@ def test_only_blas_makes_threads_and_fork_hooks():
     owners = {path.name for path in SRC.glob("*.py")
               if re.search(r"register_at_fork\(|ThreadPoolExecutor\(", path.read_text())}
     assert owners == {"blas.py"}
+
+
+def test_cli_import_loads_no_scipy():
+    """`import vocalrestore.cli` loads no scipy module: the stages that need
+    scipy import it when they run, so the restore commands do not pay for it
+    at start-up."""
+    code = ("import sys, vocalrestore.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"
