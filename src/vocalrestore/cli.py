@@ -113,9 +113,6 @@ class BenchReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-blas_threads_in_effect = blas.threads
-
-
 def run_bench(
     weights, config: ModelConfig, seconds: float, runs: int, warmup: int, seed: int = 0,
 ) -> BenchReport:
@@ -152,7 +149,7 @@ def run_bench(
         mean_s=float(np.mean(times)),
         audio_s=seconds,
         rtf=seconds / median,
-        threads=blas_threads_in_effect(),
+        threads=blas.threads(),
     )
 
 

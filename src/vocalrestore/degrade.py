@@ -40,6 +40,14 @@ def _check_bounds(stage: str, **values) -> None:
                                   f"{'(' if open_lo else '['}{lo:g}, {hi:g}], got {v}")
 
 
+def _check_nonempty(stage: str, **sizes) -> None:
+    """Refuse an empty input by name, before numpy sizes a mean, a buffer or
+    an FFT by it."""
+    for name, n in sizes.items():
+        if n < 1:
+            raise ShapeError(f"{stage}: {name} has {n} samples, need at least 1")
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
@@ -130,6 +138,7 @@ def pink_noise(n: int, seed: int) -> np.ndarray:
     irfft(1/sqrt(f), n). The convolution runs at the 5-smooth FFT length of
     _pink_kernel, so no transform runs at a length with large prime factors
     once the kernel is cached."""
+    _check_nonempty("pink_noise", n=n)
     white = _rng(seed).standard_normal(n)
     M, H = _pink_kernel(n)
     spec = np.fft.rfft(white, M)
@@ -144,6 +153,7 @@ def pink_noise(n: int, seed: int) -> np.ndarray:
 def add_noise(wave: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     """Mix in noise scaled so the signal-to-noise power ratio equals snr_db;
     noise is looped/cropped to the signal length."""
+    _check_nonempty("add_noise", wave=len(wave), noise=len(noise))
     p_sig = float(np.mean(wave.samples ** 2))
     if p_sig <= 0.0:
         raise VocalRestoreError("cannot set an SNR against a silent signal")
@@ -252,6 +262,7 @@ def time_varying_gain(
     and no transform runs at the clip's length."""
     _check_bounds("time_varying_gain", cutoff_hz=cutoff_hz, depth=depth)
     n = len(wave)
+    _check_nonempty("time_varying_gain", wave=n)
     K = int(np.count_nonzero(np.fft.rfftfreq(n, d=1.0 / wave.sample_rate) <= cutoff_hz)) - 1
     S = math.isqrt(n - 1) + 1
     noise = np.zeros((-(-n // S), S))

@@ -102,6 +102,11 @@ class ModelConfig:
         d = min(2 ** (layer_index + 1), self.dilation_cap)
         return (1, d, 1)
 
+    def reaches(self, layer_index: int) -> tuple:
+        """Each temporal conv's reach a = dilation * (k - 1) / 2: the frames
+        it reads on each side of its centre, and so its lag in a stream."""
+        return tuple(d * (self.conv_kernel - 1) // 2 for d in self.dilations(layer_index))
+
     def to_text(self) -> str:
         return "".join(f"{k} = {v}\n" for k, v in asdict(self).items())
 
@@ -367,26 +372,24 @@ def _frames_from(past, x, start: int) -> np.ndarray:
 
 
 def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: int,
-                   carry: dict, last: bool):
+                   pasts: list, last: bool):
     """Stack of dilated depthwise ConvNeXT blocks over time, weights shared
     across bands; returns the frames of H after their three residual updates
     that this push completes. Folds: the norm gain and the 1/2 of the
     tanh-form GLU (value and gate rows alike) into pw1, the layer-scale gamma
     into pw2's rows and bias.
 
-    Each conv keeps in carry, under its weight prefix, the 2a input frames
-    that its next outputs still read, a = dilation * (k - 1) / 2 (see
-    generator_forward); a fresh stream's carry is a frames of zeros. Its
-    outputs trail its input by a frames until the last push, so the residual
-    adds the input frames from a on of the carry and the chunk.
+    pasts[j] holds the input frames before H that conv j still reads, at
+    least its reach a (see generator_forward); the conv replaces it with
+    the ones its next push reads, 2a once a frames have passed. Its outputs
+    trail its input by a frames until the last push, so the residual adds
+    the input frames from a on of the past and the chunk.
     """
     x = H
     w = weights
-    for j, dil in enumerate(config.dilations(layer_index)):
+    for j, (dil, a) in enumerate(zip(config.dilations(layer_index), config.reaches(layer_index))):
         q = f"{prefix}.temporal{j}"
-        a = dil * (config.conv_kernel - 1) // 2
-        # a fresh stream starts from the a frames of zeros before the signal
-        past = carry[q] if q in carry else np.zeros(x.shape[:-1] + (a,), x.dtype)
+        past = pasts[j]
         gamma = w[f"{q}.gamma"]
         # each step rebinds u, so its input is freed before the next kernel runs
         u = depthwise_conv1d(x, w[f"{q}.dw.kernel"], dil, past, last)
@@ -397,47 +400,41 @@ def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: in
         u = glu(u)
         u = pointwise_conv(u, w[f"{q}.pw2.weight"] * gamma[:, None], w[f"{q}.pw2.bias"] * gamma)
         _add_frames(u, past, x, a)
-        if not last:
-            carry[q] = _frames_from(past, x, u.shape[-1])
+        pasts[j] = _frames_from(past, x, u.shape[-1])
         x = u
     return x
 
 
-def _temporal_frames(T: int, config: ModelConfig, layer_index: int, carry: dict,
-                     last: bool) -> int:
-    """Frames _temporal_path returns for T input frames: depthwise_conv1d's
-    count, conv by conv."""
-    for j, dil in enumerate(config.dilations(layer_index)):
-        q = f"block{layer_index}.temporal{j}"
-        a = dil * (config.conv_kernel - 1) // 2
-        P = carry[q].shape[-1] if q in carry else a
-        T = max(P + T + (a if last else 0) - 2 * a, 0)
-    return T
+def _fresh_block_carry(config: ModelConfig, layer_index: int, dtype) -> list:
+    """One block's stream state before its first push: each temporal conv's
+    past, its reach a in frames of zeros (the padding before the signal),
+    then the block's held attention frames, none yet."""
+    return [np.zeros((config.N, config.n_band, a), dtype)
+            for a in (*config.reaches(layer_index), 0)]
 
 
-def _half(H, weights, config: ModelConfig, layer_index: int, carry: dict, last: bool,
-          bands: slice, frames: slice, out: np.ndarray, attention: np.ndarray) -> dict:
+def _half(H, weights, config: ModelConfig, layer_index: int, carry: list, last: bool,
+          bands: slice, frames: slice, out: np.ndarray, attention: np.ndarray) -> list:
     """One half of a block: the temporal path on a band range of H and the
     attention path on a frame range of H. The temporal path never mixes
     bands and the attention path never mixes frames, so two halves with
     complementary ranges compute the whole block with the same arithmetic.
 
-    Reads only H, the weights and its bands of carry's temporal entries;
-    writes its temporal output into out[:, bands] and its attention output
-    into attention[..., frames], slices no other half touches. Returns its
-    bands of the temporal carry (the new one unless last).
+    Reads only H, the weights and its bands of the block carry's conv
+    pasts; writes its temporal output into out[:, bands] and its attention
+    output into attention[..., frames], slices no other half touches.
+    Returns the new conv pasts of its bands.
     """
     prefix = f"block{layer_index}"
-    keys = (f"{prefix}.temporal{j}" for j in range(CONVNEXT_BLOCKS_PER_LAYER))
-    mine = {q: carry[q][:, bands] for q in keys if q in carry}
-    out[:, bands] = _temporal_path(H[:, bands], weights, config, prefix, layer_index, mine, last)
+    pasts = [past[:, bands] for past in carry[:-1]]
+    out[:, bands] = _temporal_path(H[:, bands], weights, config, prefix, layer_index, pasts, last)
     attention[..., frames] = _attention_path(H[..., frames], weights, config, prefix)
-    return mine
+    return pasts
 
 
 def band_sequence_block(
     H: np.ndarray, weights: dict, config: ModelConfig, layer_index: int,
-    carry: dict | None = None, last: bool = True,
+    carry: list | None = None, last: bool = True,
 ) -> np.ndarray:
     """One band-sequence block: cross-band attention pathway plus within-band
     temporal pathway, both read from the block input H: (N, n_band, T). The
@@ -451,15 +448,19 @@ def band_sequence_block(
     half may be empty (one band, or fewer than two frames). At any other
     count it runs as one half on the caller's thread.
 
-    carry and last are generator_forward's: the block returns the frames its
-    temporal path completes, and holds the attention output of the frames
-    it has not yet emitted, so each attention frame lands on its own frame.
+    carry is this block's entry of generator_forward's carry (none: a
+    fresh one), updated in place. Its held attention frames are those not
+    yet emitted, so each lands on its own frame: of held + T, the block
+    emits all on the last push, else all but the sum of its reaches.
     """
     if H.shape[:2] != (config.N, config.n_band):
         raise ShapeError(f"expected ({config.N}, {config.n_band}, T), got {H.shape}")
-    carry = {} if carry is None else carry
+    if carry is None:
+        carry = _fresh_block_carry(config, layer_index, H.dtype)
     N, nb, T = H.shape
-    out = np.empty((N, nb, _temporal_frames(T, config, layer_index, carry, last)), H.dtype)
+    held = carry[-1]
+    lag = 0 if last else sum(config.reaches(layer_index))
+    out = np.empty((N, nb, max(held.shape[-1] + T - lag, 0)), H.dtype)
     attention = np.empty_like(H)
     args = (H, weights, config, layer_index, carry, last)
     with blas.halves() as worker:
@@ -473,15 +474,9 @@ def band_sequence_block(
             halves = (lower, upper.result())
         else:
             halves = (_half(*args, slice(None), slice(None), out, attention),)
-    if not last:
-        for q in halves[0]:
-            carry[q] = np.concatenate([h[q] for h in halves], axis=1)
-
-    prefix = f"block{layer_index}"
-    held = carry.get(f"{prefix}.attn", H[..., :0])
+    carry[:-1] = [np.concatenate(pasts, axis=1) for pasts in zip(*halves)]
     _add_frames(out, held, attention, 0)
-    if not last:
-        carry[f"{prefix}.attn"] = _frames_from(held, attention, out.shape[-1])
+    carry[-1] = _frames_from(held, attention, out.shape[-1])
     return out
 
 
@@ -503,7 +498,7 @@ def synthesis_head(H_i: np.ndarray, weights: dict, band_index: int, bw: int):
 
 def generator_forward(
     X: ComplexSpectrogram, weights: dict, config: ModelConfig,
-    carry: dict | None = None, last: bool = True,
+    carry: list | None = None, last: bool = True,
 ) -> ComplexSpectrogram:
     """Full generator pipeline on a complex spectrogram of matching F.
 
@@ -512,20 +507,24 @@ def generator_forward(
     float64 forward); each stage folds its own slice where it uses it (see
     the module docstring).
 
-    X may be one chunk of a longer spectrogram, pushed in order: carry (a
-    dict, empty before the first chunk) holds the frames each depthwise
-    conv and each block still need from earlier chunks, and last marks the
-    final chunk. The result holds the output frames this push completes,
-    which follow those of the previous push: they lag X by up to
-    receptive_field(config) frames, and the last push emits the rest. A
-    whole spectrogram is one push with a fresh carry that is also the
-    last, and gives X's frame count.
+    X may be one chunk of a longer spectrogram, pushed in order, and last
+    marks the final chunk. carry is the stream's state, a list that is
+    empty before the first push, which fills it (see _fresh_block_carry):
+    per block, each depthwise conv's past (the input frames it still
+    reads), then the attention frames the block has yet to emit. The result
+    holds the output frames this push completes, which follow those of the
+    previous push: they lag X by up to receptive_field(config) frames, and
+    the last push emits the rest. A whole spectrogram is one push with no
+    carry that is also the last, and gives X's frame count.
     """
     if X.bins.shape[0] != config.F:
         raise ShapeError(f"expected F={config.F}, got {X.bins.shape[0]}")
     layout = config.layout()
     dtype = weights["stem.band0.proj.weight"].dtype
     packed = [p.astype(dtype) for p in pack_band_features(X, layout, config.eps)]
+    carry = [] if carry is None else carry
+    if not carry:
+        carry += [_fresh_block_carry(config, layer, dtype) for layer in range(config.L)]
 
     # one split for the whole network, so the stem and heads run on one BLAS
     # thread too and the blocks' own halves() makes no BLAS call: faster
@@ -535,7 +534,7 @@ def generator_forward(
         H = stem(packed, weights, config)
         del packed
         for layer in range(config.L):
-            H = band_sequence_block(H, weights, config, layer, carry, last)
+            H = band_sequence_block(H, weights, config, layer, carry[layer], last)
         rows = [synthesis_head(H[:, i], weights, i, bw) for i, bw in enumerate(layout.widths)]
     return ComplexSpectrogram(reassemble(rows, layout), X.params)
 
@@ -545,8 +544,7 @@ def receptive_field(config: ModelConfig) -> int:
     the dilated depthwise convs are the only layers that mix frames. It is
     also the stack's latency: a pushed frame's output is complete R frames
     later."""
-    return sum(d * (config.conv_kernel - 1) // 2
-               for layer in range(config.L) for d in config.dilations(layer))
+    return sum(sum(config.reaches(layer)) for layer in range(config.L))
 
 
 def chunk_starts(n_frames: int) -> range:
@@ -565,7 +563,7 @@ def restore(wave: Waveform, weights: dict, config: ModelConfig) -> Waveform:
             f"waveform is {wave.sample_rate} Hz, model expects {config.sample_rate}"
         )
     X = stft(wave, config.stft_params)
-    carry: dict = {}
+    carry: list = []
     done = 0
     for start in chunk_starts(X.n_frames):
         chunk = ComplexSpectrogram(X.bins[:, start:start + CHUNK_FRAMES], X.params)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from vocalrestore import generator
+from vocalrestore import blas, generator
 from vocalrestore.audio_io import Waveform, read_wav, write_wav
 from vocalrestore.cli import (
     EXIT_DISCONNECTED,
@@ -16,7 +16,6 @@ from vocalrestore.cli import (
     EXIT_MISSING_FILE,
     EXIT_OK,
     EXIT_SAMPLE_RATE,
-    blas_threads_in_effect,
     build_parser,
     main,
     run_bench,
@@ -217,7 +216,7 @@ def test_bench_reports_blas_threads_in_effect(model_files):
     from vocalrestore.generator import load_weights
 
     report = run_bench(load_weights(wpath), cfg, seconds=0.25, runs=1, warmup=0)
-    assert report.threads == blas_threads_in_effect() >= 0
+    assert report.threads == blas.threads() >= 0
 
 
 def test_run_bench_deterministic_input(model_files):

@@ -24,7 +24,7 @@ from vocalrestore.degrade import (
     spectral_corrupt,
     time_varying_gain,
 )
-from vocalrestore.errors import ConfigError, VocalRestoreError
+from vocalrestore.errors import ConfigError, ShapeError, VocalRestoreError
 from vocalrestore.spectral import ComplexSpectrogram, StftParams, istft, stft
 
 
@@ -329,6 +329,42 @@ def test_time_varying_gain_errors():
         time_varying_gain(x, 0.0, 0.2, seed=0)
     with pytest.raises(ConfigError):
         time_varying_gain(x, 2.0, 1.5, seed=0)
+
+
+# stage -> (call, None where an empty input comes back empty, else the
+# ShapeError message it raises)
+_EMPTY_INPUT = {
+    "freq_shape": (lambda w: freq_shape(w, [50.0, 24000.0], [-6.0, 0.0]), "empty waveform"),
+    "reverb": (lambda w: reverb(w, 0.5, 0.5, seed=0), None),
+    "clip": (lambda w: clip(w, "tanh", 2.0), None),
+    "add_noise": (lambda w: add_noise(w, _wave(100), 10.0), "add_noise: wave has 0 samples"),
+    "spectral_corrupt": (lambda w: spectral_corrupt(w, 0.1, 0.1, 0, 512, 256), "empty waveform"),
+    "time_varying_gain": (lambda w: time_varying_gain(w, 2.0, 0.3, seed=0),
+                          "time_varying_gain: wave has 0 samples"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stage", STAGE_ORDER)
+def test_stage_on_empty_waveform(stage):
+    """Called on its own, outside replay_trace's check, each stage function
+    either returns an empty waveform or raises a ShapeError that names the
+    empty input, before numpy warns or fails on a zero length."""
+    call, message = _EMPTY_INPUT[stage]
+    empty = Waveform(np.zeros(0), SR)
+    if message is None:
+        assert len(call(empty)) == 0
+    else:
+        with pytest.raises(ShapeError, match=message):
+            call(empty)
+
+
+@pytest.mark.filterwarnings("error")
+def test_empty_noise_inputs_are_named():
+    with pytest.raises(ShapeError, match="pink_noise: n has 0 samples"):
+        pink_noise(0, seed=0)
+    with pytest.raises(ShapeError, match="add_noise: noise has 0 samples"):
+        add_noise(_wave(100), Waveform(np.zeros(0), SR), 10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -828,23 +828,28 @@ def test_concurrent_restores_match_serial(monkeypatch, blas_at):
 
 
 def test_forward_carry_keeps_boundary_frames():
-    """Pushed in 16-frame chunks, generator_forward emits each frame once,
-    R = receptive_field frames behind its input until the last push flushes
-    the rest; between pushes each conv keeps dilation * (k - 1) input frames
-    and each block the attention frames its temporal path has yet to emit."""
+    """Pushed in chunks, generator_forward emits each frame once, R =
+    receptive_field frames behind its input until the last push flushes the
+    rest. The carry holds one entry per block: each conv's past, which
+    keeps dilation * (k - 1) = 2a input frames once R frames have passed,
+    then the attention frames the block's temporal path has yet to emit.
+    Pushes of 7 and 1 frames are shorter than some convs' reach, so those
+    emit nothing on some pushes."""
     cfg = toy_config()
     w = _gamma_weights(cfg, 2, 0.5)
     R = receptive_field(cfg)
     X = stft(_wave(86 * cfg.hop, seed=3, sr=cfg.sample_rate), cfg.stft_params)  # 87 frames
-    carry, emitted = {}, []
-    for start in range(0, 80, 16):
-        chunk = ComplexSpectrogram(X.bins[:, start:start + 16], X.params)
-        emitted.append(generator_forward(chunk, w, cfg, carry, last=False).n_frames)
-        for layer in range(cfg.L):
-            reach = [d * (cfg.conv_kernel - 1) // 2 for d in cfg.dilations(layer)]
-            for j, a in enumerate(reach):
-                assert carry[f"block{layer}.temporal{j}"].shape[-1] == 2 * a
-            assert carry[f"block{layer}.attn"].shape[-1] == sum(reach)
-    chunk = ComplexSpectrogram(X.bins[:, 80:], X.params)
-    emitted.append(generator_forward(chunk, w, cfg, carry, last=True).n_frames)
-    assert emitted == [16 - R, 16, 16, 16, 16, 7 + R]
+    for chunk in (16, 7, 1):
+        carry, emitted = [], 0
+        for start in range(0, X.n_frames, chunk):
+            seen = min(start + chunk, X.n_frames)
+            last = seen == X.n_frames
+            pushed = ComplexSpectrogram(X.bins[:, start:seen], X.params)
+            emitted += generator_forward(pushed, w, cfg, carry, last).n_frames
+            assert emitted == (seen if last else max(seen - R, 0)), (chunk, start)
+            assert len(carry) == cfg.L
+            if seen >= R and not last:
+                for layer, state in enumerate(carry):
+                    reach = cfg.reaches(layer)
+                    assert [past.shape[-1] for past in state[:-1]] == [2 * a for a in reach]
+                    assert state[-1].shape[-1] == sum(reach)

@@ -3,6 +3,7 @@ the package; a refactor that renames one, or that calls a stage function
 through a captured object, would silently break ``run.py --trace 1``."""
 
 import importlib.util
+import inspect
 import os
 import pathlib
 import re
@@ -116,6 +117,17 @@ def test_only_blas_makes_threads_and_fork_hooks():
     owners = {path.name for path in SRC.glob("*.py")
               if re.search(r"register_at_fork\(|ThreadPoolExecutor\(", path.read_text())}
     assert owners == {"blas.py"}
+
+
+def test_one_place_writes_the_lag_rule():
+    """ModelConfig.reaches is the one place a temporal conv's reach
+    a = dilation * (k - 1) / 2 is worked out from the config: the block's
+    frame count, the temporal path and receptive_field all read it.
+    nncore.depthwise_conv1d works out its own from the kernel it is given,
+    since it takes no config."""
+    hits = {path.name: path.read_text().count("conv_kernel - 1") for path in SRC.rglob("*.py")}
+    assert sum(hits.values()) == 1, hits
+    assert "conv_kernel - 1" in inspect.getsource(generator.ModelConfig.reaches)
 
 
 def test_cli_import_loads_no_scipy():
