@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,9 @@ def read_wav(path) -> Waveform:
 
 def write_wav(wave: Waveform, path) -> None:
     """Write a mono IEEE float-32 WAV file, storing float32 samples bit-exactly."""
+    if 4 * wave.sample_rate > 0xFFFFFFFF:   # the byte rate does not fit the header's u32
+        raise ConfigError(f"sample rate {wave.sample_rate} Hz is above the float32 WAV "
+                          f"limit of {0xFFFFFFFF // 4} Hz (its byte rate is a u32)")
     payload = wave.samples.astype("<f4").tobytes()
     # 4-byte samples: block align 4, and the data chunk needs no pad byte.
     fmt = struct.pack("<HHIIHH", _FMT_IEEE_FLOAT, 1, wave.sample_rate, 4 * wave.sample_rate, 4, 32)

@@ -5,17 +5,21 @@ pack_band_features gives each band of width bw 2*bw + 1 input channels per
 frame: envelope-normalized real/imaginary values interleaved bin-major
 (re0, im0, re1, im1, ...) followed by the log-envelope row. reassemble is
 its inverse for the synthesis heads' output: per-band (2*bw, T) rows in the
-same re/im order back to complex bins.
+same re/im order back to complex bins in the rows' precision. The module
+holds no configuration; its one constant is the envelope floor ENVELOPE_EPS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .spectral import ComplexSpectrogram
+
+ENVELOPE_EPS = 1e-8   # every envelope is >= 1e-4: silence packs as zeros and a finite log
 
 
 def hz_to_mel(f):
@@ -46,10 +50,7 @@ class BandLayout:
     @property
     def boundaries(self) -> tuple:
         """Cumulative bin offsets, length n_band + 1, ending at F."""
-        b = [0]
-        for w in self.widths:
-            b.append(b[-1] + w)
-        return tuple(b)
+        return (0, *accumulate(self.widths))
 
     def slices(self):
         b = self.boundaries
@@ -100,33 +101,20 @@ def mel_band_layout(F: int, n_band: int, sample_rate: int) -> BandLayout:
     return BandLayout(tuple(widths.tolist()), F)
 
 
-def band_envelope(spec: ComplexSpectrogram, layout: BandLayout, eps: float) -> np.ndarray:
-    """(n_band, T_s) power envelope p_i(t) = sqrt(sum over band bins of re^2 + im^2 + eps)."""
+def band_envelope(spec: ComplexSpectrogram, layout: BandLayout) -> np.ndarray:
+    """(n_band, T_s) power envelope p_i(t) = sqrt(sum over band bins of |X|^2 + ENVELOPE_EPS)."""
     if layout.F != spec.bins.shape[0]:
-        raise ShapeError(
-            f"layout covers {layout.F} bins, spectrogram has {spec.bins.shape[0]}"
-        )
-    if eps < 0:
-        raise ConfigError("eps must be nonnegative")
+        raise ShapeError(f"layout covers {layout.F} bins, spectrogram has {spec.bins.shape[0]}")
     power = spec.bins.real ** 2 + spec.bins.imag ** 2
-    values = np.empty((layout.n_band, spec.n_frames))
-    for i, sl in enumerate(layout.slices()):
-        values[i] = np.sqrt(power[sl].sum(axis=0) + eps)
-    return values
+    return np.sqrt(np.stack([power[sl].sum(axis=0) for sl in layout.slices()]) + ENVELOPE_EPS)
 
 
-def pack_band_features(
-    spec: ComplexSpectrogram, layout: BandLayout, eps: float
-) -> list[np.ndarray]:
+def pack_band_features(spec: ComplexSpectrogram, layout: BandLayout) -> list[np.ndarray]:
     """Per band: (2*bw_i + 1, T_s) array of normalized re/im plus log-envelope."""
-    env = band_envelope(spec, layout, eps)
     packed = []
-    for i, sl in enumerate(layout.slices()):
-        band = spec.bins[sl]
-        p = env[i]
-        with np.errstate(divide="ignore"):
-            norm = band / p  # broadcast over bins
-        bw = band.shape[0]
+    for sl, p in zip(layout.slices(), band_envelope(spec, layout)):
+        norm = spec.bins[sl] / p  # broadcast over bins
+        bw = norm.shape[0]
         feats = np.empty((2 * bw + 1, spec.n_frames))
         feats[0:2 * bw:2] = norm.real
         feats[1:2 * bw:2] = norm.imag
@@ -137,14 +125,13 @@ def pack_band_features(
 
 def reassemble(band_rows: list[np.ndarray], layout: BandLayout) -> np.ndarray:
     """Per-band (2*bw_i, T_s) rows interleaved (re0, im0, re1, im1, ...), as
-    pack_band_features orders them, back to complex128 (F, T_s) bins."""
+    pack_band_features orders them, back to (F, T_s) complex bins: complex64
+    from float32 rows, complex128 from float64."""
     if len(band_rows) != layout.n_band:
-        raise ShapeError(
-            f"got {len(band_rows)} band outputs for {layout.n_band} bands"
-        )
+        raise ShapeError(f"got {len(band_rows)} band outputs for {layout.n_band} bands")
     T = band_rows[0].shape[-1]
     for i, (rows, w) in enumerate(zip(band_rows, layout.widths)):
         if rows.shape != (2 * w, T):
             raise ShapeError(f"band {i}: expected shape ({2 * w}, {T}), got {rows.shape}")
-    rows = np.concatenate(band_rows, axis=0).astype(np.float64)
+    rows = np.concatenate(band_rows, axis=0)
     return rows[0::2] + 1j * rows[1::2]

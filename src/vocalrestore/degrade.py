@@ -430,6 +430,7 @@ class DegradationSpec:
         seed = 0
         stages = []
         current = None
+        seen = set()   # keys of the current section: a stage listed twice is two draws
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -438,20 +439,24 @@ class DegradationSpec:
                 if current is not None:
                     stages.append(StageConfig(**current))
                 current = {"name": line[1:-1], "prob": 0.5, "ranges": {}}
+                seen = set()
                 continue
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            name = key if current is None else f"{current['name']}.{key}"
+            if name in seen:
+                raise ConfigError(f"{name} is listed twice")
+            seen.add(name)
             if current is None:
                 if key != "seed":
                     raise ConfigError(f"unexpected key {key!r} before any stage")
                 seed = _parse(int, key, value)
             elif key == "prob":
-                current["prob"] = _parse(float, f"{current['name']}.prob", value)
+                current["prob"] = _parse(float, name, value)
             else:
                 lo, sep, hi = value.partition("..")
                 if not sep:
-                    raise ConfigError(f"{key}: expected a lo..hi range, got {value!r}")
-                name = f"{current['name']}.{key}"
+                    raise ConfigError(f"{name}: expected a lo..hi range, got {value!r}")
                 current["ranges"][key] = (_parse(float, name, lo), _parse(float, name, hi))
         if current is not None:
             stages.append(StageConfig(**current))

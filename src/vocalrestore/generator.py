@@ -2,7 +2,8 @@
 heads, reassembly, plus weight init/serialization and waveform restoration.
 
 The network runs in the weights' dtype (float32 as stored) from the stem to
-the synthesis heads; the STFT, band packing and reassembly stay in float64.
+the synthesis heads. The STFT and band packing stay in float64; reassembly
+follows the heads' rows, and ComplexSpectrogram makes its bins complex128.
 All operations are deterministic. Where OpenBLAS runs 2 threads, each block
 runs as two halves, one on the caller's thread and one on the worker that
 blas.halves() hands out (see band_sequence_block); the module itself keeps
@@ -65,7 +66,6 @@ class ModelConfig:
     N: int = 128
     L: int = 6
     heads: int = 4
-    eps: float = 1e-8
     # Fixed by the architecture, not set by a .cfg: class constants, not
     # fields, still read as config.conv_kernel (perfbench's FLOP count does).
     conv_kernel: ClassVar[int] = 3
@@ -83,8 +83,6 @@ class ModelConfig:
                               f"{self.N}, {self.heads}, {self.L}")
         if self.N % self.heads:
             raise ShapeError(f"N={self.N} not divisible by heads={self.heads}")
-        if not 0.0 <= self.eps < float("inf"):
-            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
 
     @property
     def stft_params(self) -> StftParams:
@@ -125,7 +123,7 @@ class ModelConfig:
             if key in kwargs:
                 raise FormatError(f"config key {key!r} is listed twice")
             try:
-                kwargs[key] = float(value) if key == "eps" else int(value)
+                kwargs[key] = int(value)
             except ValueError as exc:
                 raise FormatError(f"config key {key!r}: bad value {value!r}") from exc
         return cls(**kwargs)
@@ -480,19 +478,17 @@ def band_sequence_block(
     return out
 
 
-def synthesis_head(H_i: np.ndarray, weights: dict, band_index: int, bw: int):
+def synthesis_head(H_i: np.ndarray, weights: dict, band_index: int):
     """RMSNorm -> 1x1 conv -> SiLU -> 1x1 conv -> GLU on one band's (N, T)
-    slice: (2*bw, T) rows in the re/im order that reassemble reads. Folds:
-    the norm gain and the 1/2 of the tanh-form SiLU into conv1, the 1/2 of
-    the tanh-form GLU into conv2."""
+    slice: (2*bw, T) rows, bw set by conv2's 4*bw rows, in the re/im order
+    that reassemble reads and checks. Folds: the norm gain and the 1/2 of
+    the tanh-form SiLU into conv1, the 1/2 of the tanh-form GLU into conv2."""
     p = f"head.band{band_index}"
     x = rmsnorm(H_i)
     x = pointwise_conv(x, weights[f"{p}.conv1.weight"] * (weights[f"{p}.norm.gain"] * 0.5),
                        weights[f"{p}.conv1.bias"] * 0.5)
     x = silu(x)
     x = pointwise_conv(x, weights[f"{p}.conv2.weight"] * 0.5, weights[f"{p}.conv2.bias"] * 0.5)
-    if x.shape[0] != 4 * bw:
-        raise ShapeError(f"head {band_index}: pre-GLU channels {x.shape[0]} != {4 * bw}")
     return glu(x).copy()    # glu's result is a view that would keep all 4*bw rows
 
 
@@ -505,7 +501,8 @@ def generator_forward(
     Takes the raw weights as stored and runs in their dtype (float32 as
     load_weights and init_weights return them; float64 weights give a
     float64 forward); each stage folds its own slice where it uses it (see
-    the module docstring).
+    the module docstring). X is packed in float64 and cast to that dtype;
+    the heads' rows are reassembled in it, and the result is complex128.
 
     X may be one chunk of a longer spectrogram, pushed in order, and last
     marks the final chunk. carry is the stream's state, a list that is
@@ -521,7 +518,7 @@ def generator_forward(
         raise ShapeError(f"expected F={config.F}, got {X.bins.shape[0]}")
     layout = config.layout()
     dtype = weights["stem.band0.proj.weight"].dtype
-    packed = [p.astype(dtype) for p in pack_band_features(X, layout, config.eps)]
+    packed = [p.astype(dtype) for p in pack_band_features(X, layout)]
     carry = [] if carry is None else carry
     if not carry:
         carry += [_fresh_block_carry(config, layer, dtype) for layer in range(config.L)]
@@ -535,7 +532,7 @@ def generator_forward(
         del packed
         for layer in range(config.L):
             H = band_sequence_block(H, weights, config, layer, carry[layer], last)
-        rows = [synthesis_head(H[:, i], weights, i, bw) for i, bw in enumerate(layout.widths)]
+        rows = [synthesis_head(H[:, i], weights, i) for i in range(config.n_band)]
     return ComplexSpectrogram(reassemble(rows, layout), X.params)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConnectivityError,
     DegenerateError,
     FormatError,
@@ -82,9 +83,14 @@ class ComparisonSet:
 
 
 def category_split(data: ComparisonSet, category: str) -> ComparisonSet:
-    """Records with the given label; unlabeled records only appear in the
-    full (overall) set."""
-    return ComparisonSet([r for r in data.records if r.category == category])
+    """Records with the given label, which at least one record must carry;
+    unlabeled records only appear in the full (overall) set."""
+    records = [r for r in data.records if r.category == category]
+    if not records:
+        present = sorted({r.category for r in data.records} - {""})
+        raise ConfigError(f"no comparison has category {category!r}; categories present: "
+                          f"{', '.join(map(repr, present)) or 'none'}")
+    return ComparisonSet(records)
 
 
 @dataclass

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from vocalrestore.audio_io import Waveform
-from vocalrestore.bandsplit import band_envelope, mel_band_layout
+from vocalrestore.bandsplit import ENVELOPE_EPS, band_envelope, mel_band_layout
 from vocalrestore.cli import run_bench
 from vocalrestore.degrade import DegradationSpec, add_noise, apply_chain, clip, pink_noise, replay_trace
 from vocalrestore.errors import DegenerateError
@@ -93,16 +93,16 @@ def test_criterion_2_band_partition():
 
 def test_criterion_3_envelope():
     with _Gate(3, "band envelope"):
-        eps = 1e-8
+        eps = ENVELOPE_EPS
         layout = mel_band_layout(129, 8, 16000)
         params = StftParams(n_fft=256, hop=128)
         zero = stft(Waveform(np.zeros(2000), 16000), params)
-        env0 = band_envelope(zero, layout, eps)
+        env0 = band_envelope(zero, layout)
         assert np.allclose(env0, np.sqrt(eps), rtol=0, atol=1e-15)
 
         x = np.random.default_rng(2).standard_normal(2000)
-        e1 = band_envelope(stft(Waveform(x, 16000), params), layout, eps)
-        e10 = band_envelope(stft(Waveform(10 * x, 16000), params), layout, eps)
+        e1 = band_envelope(stft(Waveform(x, 16000), params), layout)
+        e10 = band_envelope(stft(Waveform(10 * x, 16000), params), layout)
         ratio = e10 / e1
         assert np.all(ratio >= 10 - np.sqrt(eps))
         assert np.all(ratio <= 10 + np.sqrt(eps))

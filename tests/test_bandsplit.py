@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from vocalrestore.audio_io import Waveform
 from vocalrestore.bandsplit import (
+    ENVELOPE_EPS,
     BandLayout,
     band_envelope,
     hz_to_mel,
@@ -87,27 +88,26 @@ def _toy_spec(n=2000, seed=0):
 def test_envelope_matches_definition():
     spec = _toy_spec()
     layout = mel_band_layout(129, 8, 16000)
-    eps = 1e-8
-    env = band_envelope(spec, layout, eps)
+    env = band_envelope(spec, layout)
     for i, sl in enumerate(layout.slices()):
         band = spec.bins[sl]
-        ref = np.sqrt((band.real**2 + band.imag**2).sum(axis=0) + eps)
+        ref = np.sqrt((band.real**2 + band.imag**2).sum(axis=0) + ENVELOPE_EPS)
         assert np.allclose(env[i], ref, rtol=0, atol=1e-12)
-    assert np.all(env >= np.sqrt(eps))
+    assert np.all(env >= np.sqrt(ENVELOPE_EPS))
 
 
 def test_envelope_zero_input_floor():
     spec = _toy_spec()
     zero = type(spec)(np.zeros_like(spec.bins), spec.params)
-    env = band_envelope(zero, mel_band_layout(129, 8, 16000), eps=1e-8)
-    assert np.allclose(env, np.sqrt(1e-8))
+    env = band_envelope(zero, mel_band_layout(129, 8, 16000))
+    assert np.allclose(env, np.sqrt(ENVELOPE_EPS))
 
 
 def test_packed_features():
     spec = _toy_spec(seed=5)
     layout = mel_band_layout(129, 8, 16000)
-    packed = pack_band_features(spec, layout, eps=1e-8)
-    env = band_envelope(spec, layout, eps=1e-8)
+    packed = pack_band_features(spec, layout)
+    env = band_envelope(spec, layout)
     for i, (feats, sl) in enumerate(zip(packed, layout.slices())):
         bw = layout.widths[i]
         assert feats.shape == (2 * bw + 1, spec.n_frames)
@@ -121,15 +121,21 @@ def test_packed_features():
 
 def test_reassemble_round_trip():
     """reassemble inverts pack_band_features' re/im interleave: the packed
-    rows without the envelope row, times the envelope, give the bins back."""
+    rows without the envelope row, times the envelope, give the bins back.
+    float32 rows give complex64 bins, equal to the float64 result on the
+    same rows."""
     spec = _toy_spec(seed=9)
     layout = mel_band_layout(129, 8, 16000)
-    env = band_envelope(spec, layout, eps=1e-8)
-    rows = [feats[:-1] * p for feats, p in
-            zip(pack_band_features(spec, layout, eps=1e-8), env)]
+    env = band_envelope(spec, layout)
+    rows = [feats[:-1] * p for feats, p in zip(pack_band_features(spec, layout), env)]
     bins = reassemble(rows, layout)
     assert bins.dtype == np.complex128
     assert np.max(np.abs(bins - spec.bins)) <= 1e-12
+
+    rows32 = [r.astype(np.float32) for r in rows]
+    bins32 = reassemble(rows32, layout)
+    assert bins32.dtype == np.complex64
+    assert np.array_equal(bins32, reassemble([r.astype(np.float64) for r in rows32], layout))
 
 
 def test_reassemble_shape_errors():

@@ -117,6 +117,23 @@ def test_degrade_where_a_window_tail_covers_the_last_sample(tmp_path):
     assert len(y) == 96255 and np.all(np.isfinite(y.samples))
 
 
+def test_degrade_refuses_a_rate_the_writer_cannot_store(tmp_path, capsys):
+    """A PCM16 input at 2**30 + 5 Hz reads, but a float32 WAV's u32 byte rate
+    (4 bytes a sample) cannot hold that rate: the write is refused with one
+    `error:` line that names the rate and the limit, and no output is left."""
+    rate = 2**30 + 5
+    data = (np.random.default_rng(1).integers(-3000, 3000, 3000)).astype("<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    body = b"WAVEfmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    inp, out = tmp_path / "in.wav", tmp_path / "out.wav"
+    inp.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    assert main(["degrade", "--in", str(inp), "--out", str(out), "--seed", "3"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: sample rate {rate} Hz is above the float32 WAV limit of 1073741823 Hz "
+        "(its byte rate is a u32)"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav"]
+
+
 def test_degrade_with_spec_file(tmp_path):
     from vocalrestore.degrade import DegradationSpec
 
@@ -294,12 +311,13 @@ def _weights_bytes(manifest) -> bytes:
     (None, None, "conv_kernel = 3\n", "unknown config key 'conv_kernel'"),
     (None, None, "dilation_cap = 8\n", "unknown config key 'dilation_cap'"),
     (None, None, "ff_expansion = 2\n", "unknown config key 'ff_expansion'"),
+    (None, None, "eps = 1e-08\n", "unknown config key 'eps'"),
     (None, None, "N = 32\n", "config key 'N' is listed twice"),
     (None, "sample_rate = 0", "", "sample_rate must be >= 1, got 0"),
 ], ids=["ends_after_magic", "entry_without_offset", "manifest_object", "name_list",
         "negative_offset", "negative_shape_pair", "negative_shape", "dtype_f64", "heads_0",
         "heads_two", "removed_conv_kernel", "removed_dilation_cap", "removed_ff_expansion",
-        "repeated_key", "sample_rate_0"])
+        "removed_eps", "repeated_key", "sample_rate_0"])
 def test_malformed_model_files(model_files, tmp_path, capsys, weights, line, extra, cause):
     """A malformed weights file or config (`line` in place of its key's line,
     `extra` lines appended) exits 1 with `error: <cause>`, not a traceback."""
@@ -326,15 +344,7 @@ def test_malformed_model_files(model_files, tmp_path, capsys, weights, line, ext
 _MODEL = ["--weights", "weights.bin", "--config", "model.cfg"]
 _DEGRADE = ["degrade", "--in", "a48.wav", "--out", "o.wav"]
 _SPEC = _DEGRADE + ["--spec", "chain.spec"]
-_RESTORE_EPS = ["restore", "--in", "a16.wav", "--out", "o.wav",
-                "--weights", "weights.bin", "--config", "eps.cfg"]
 _BENCH = ["bench", *_MODEL, "--seconds", "0.1"]
-
-
-def _with_eps(value):
-    """The toy config text with its one eps line set to value."""
-    cfg = toy_config()
-    return cfg.to_text().replace(f"eps = {cfg.eps}\n", f"eps = {value}\n")
 
 
 @pytest.mark.parametrize("argv, files, code, cause", [
@@ -350,10 +360,6 @@ def _with_eps(value):
     (_DEGRADE + ["--seed", "-1"], {}, 1, "seed must be >= 0, got -1"),
     (["degrade", "--in", "e.wav", "--out", "o.wav", "--seed", "2"], {},
      1, "cannot degrade an empty waveform (0 samples)"),
-    (_RESTORE_EPS, {"eps.cfg": _with_eps("nan")},
-     1, "eps must be finite and >= 0, got nan"),
-    (_RESTORE_EPS, {"eps.cfg": _with_eps("-1")},
-     1, "eps must be finite and >= 0, got -1.0"),
     (_BENCH + ["--runs", "0"], {}, 1, "runs must be >= 1, got 0"),
     (_BENCH + ["--runs", "1", "--warmup", "-1"], {}, 1, "warmup must be >= 0, got -1"),
     (["bench", *_MODEL, "--seconds", "0", "--runs", "1"], {}, 1, "seconds must be > 0, got 0.0"),
@@ -364,11 +370,17 @@ def _with_eps(value):
      1, "[Errno 2] No such file or directory: 'nodir/o.wav'"),
     (["rank", "--csv", "c.csv"], {"c.csv": "system_a,system_b,outcome\nx,y,a\nx,y,c\n"},
      1, "CSV line 3: outcome must be a|b|tie, got 'c'"),
+    (["rank", "--csv", "c.csv", "--category", "singing"],
+     {"c.csv": "system_a,system_b,outcome,category\nx,y,a,speech\nx,z,b,speech\n"},
+     1, "no comparison has category 'singing'; categories present: 'speech'"),
+    (_SPEC, {"chain.spec": "[reverb]\nprob = 0.2\nrt60 = 0.2..0.3\nrt60 = 0.5..0.6\n"
+                           "wet = 0.1..0.2\n"},
+     1, "reverb.rt60 is listed twice"),
 ], ids=["eval_rate_mismatch", "rank_short_row", "spec_seed_x", "spec_prob_half",
-        "spec_range_z", "degrade_seed_negative", "degrade_empty", "eps_nan", "eps_negative",
+        "spec_range_z", "degrade_seed_negative", "degrade_empty",
         "bench_runs_0", "bench_warmup_negative", "bench_seconds_0", "bench_seconds_inf",
         "bench_seconds_under_one_sample", "restore_out_dir_missing",
-        "rank_bad_outcome"])
+        "rank_bad_outcome", "rank_category_absent", "spec_repeated_key"])
 def test_bad_input_names_cause(model_files, tmp_path, monkeypatch, capsys, argv, files, code,
                                cause):
     """Each bad input exits with its documented code and one `error:` line

@@ -401,6 +401,7 @@ def test_spec_text_errors():
     [
         ("[clip]\nprob = 1.0\n", "clip: unknown keys [], missing ranges ['drive']"),
         ("[bogus]\nprob = 0.0\n", "unknown stage 'bogus'"),
+        ("[clip]\ndrive = 5\n", "clip.drive: expected a lo..hi range, got '5'"),
         ("[clip]\ndrive = 1..5\nextra = 0..1\n", "clip: unknown keys ['extra'], missing ranges []"),
         # range ends outside the stage's bounds, which would fail only on the
         # seeds that draw beyond them
@@ -424,6 +425,28 @@ def test_spec_validation(text, message):
     with pytest.raises(ConfigError) as info:
         DegradationSpec.from_text(text)
     assert message in str(info.value)
+
+
+_REVERB = "[reverb]\nprob = 0.2\nrt60 = 0.2..0.3\nwet = 0.1..0.2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed = 1\nseed = 7\n" + _REVERB, "seed is listed twice"),
+    (_REVERB + "prob = 0.9\n", "reverb.prob is listed twice"),
+    (_REVERB + "rt60 = 0.5..0.6\n", "reverb.rt60 is listed twice"),
+], ids=["seed", "prob", "range"])
+def test_spec_refuses_a_repeated_key(text, message):
+    """A key set twice in one section has no one value: it is refused by
+    name, not settled by the last line."""
+    with pytest.raises(ConfigError, match=message):
+        DegradationSpec.from_text(text)
+
+
+def test_spec_stage_listed_twice_is_two_draws():
+    """A stage header listed twice is two independent stages, each with its
+    own keys."""
+    spec = DegradationSpec.from_text(_REVERB + _REVERB.replace("0.2\n", "0.7\n", 1))
+    assert [(stage.name, stage.prob) for stage in spec.stages] == [("reverb", 0.2), ("reverb", 0.7)]
 
 
 def test_stage_config_validation():

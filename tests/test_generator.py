@@ -3,11 +3,12 @@ import multiprocessing
 import struct
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from vocalrestore import blas, generator
+from vocalrestore import bandsplit, blas, generator
 from vocalrestore.audio_io import Waveform
 from vocalrestore.bandsplit import pack_band_features, reassemble
 from vocalrestore.errors import ConfigError, FormatError, SampleRateError, ShapeError
@@ -56,7 +57,7 @@ def test_dilation_schedule():
 
 
 def test_config_text_round_trip():
-    cfg = toy_config(n_band=4, eps=1e-7)
+    cfg = toy_config(n_band=4)
     assert ModelConfig.from_text(cfg.to_text()) == cfg
     with pytest.raises(FormatError):
         ModelConfig.from_text("nonsense_key = 3\n")
@@ -66,12 +67,13 @@ def test_config_text_round_trip():
     ("conv_kernel = 3", "unknown config key 'conv_kernel'"),
     ("dilation_cap = 8", "unknown config key 'dilation_cap'"),
     ("ff_expansion = 2", "unknown config key 'ff_expansion'"),
+    ("eps = 1e-08", "unknown config key 'eps'"),
     ("N = 32", "config key 'N' is listed twice"),
 ])
 def test_config_refuses_what_it_cannot_apply(line, cause):
-    """The architecture's constants are not config fields, and a key set
-    twice has no one value: either is refused by name, not passed on to the
-    constructor or settled by the last line."""
+    """The architecture's constants and bandsplit's envelope floor are not
+    config fields, and a key set twice has no one value: either is refused
+    by name, not passed on to the constructor or settled by the last line."""
     with pytest.raises(FormatError, match=cause):
         ModelConfig.from_text(toy_config().to_text() + line + "\n")
 
@@ -205,7 +207,7 @@ def test_load_weights_errors(tmp_path):
 def _packed(cfg, seed=0, n=2000):
     x = _wave(n, seed=seed, sr=cfg.sample_rate)
     spec = stft(x, StftParams(n_fft=cfg.n_fft, hop=cfg.hop))
-    return [p.astype(np.float32) for p in pack_band_features(spec, cfg.layout(), cfg.eps)]
+    return [p.astype(np.float32) for p in pack_band_features(spec, cfg.layout())]
 
 
 def _zero_block_projections(w, cfg):
@@ -391,8 +393,8 @@ def test_stack_keeps_weights_dtype(dtype):
     for layer in range(cfg.L):
         H = band_sequence_block(H, w, cfg, layer)
         assert H.dtype == dtype
-    for i, bw in enumerate(cfg.layout().widths):
-        assert synthesis_head(H[:, i], w, i, bw).dtype == dtype
+    for i in range(cfg.n_band):
+        assert synthesis_head(H[:, i], w, i).dtype == dtype
 
 
 def test_forward_matches_float64_reference():
@@ -429,7 +431,7 @@ def _unfolded_forward(X, w, cfg):
         y = np.tensordot(w[f"{p}.weight"], x, axes=(1, 0))
         return y + w[f"{p}.bias"].reshape((-1,) + (1,) * (x.ndim - 1))
 
-    packed = pack_band_features(X, layout, cfg.eps)
+    packed = pack_band_features(X, layout)
     H = np.stack([conv(norm(f, w[f"stem.band{i}.norm.gain"]), f"stem.band{i}.proj")
                   for i, f in enumerate(packed)], axis=1)
     for layer in range(cfg.L):
@@ -484,20 +486,18 @@ def test_forward_matches_unfolded_reference():
     assert np.max(np.abs(out - ref)) <= 1e-5 * rms
 
 
-def test_identity_weight_construction_restores_input():
+def test_identity_weight_construction_restores_input(monkeypatch):
     """A hand-built weight setting that routes the spectrogram through the
     network almost unchanged.
 
-    With one band, a huge envelope eps and identity-like projections, the
+    With one band, a huge envelope floor and identity-like projections, the
     stem/head RMSNorm scales become (nearly) signal-independent constants
     that the head convolutions undo, so restore() approximates the identity
     map end to end.
     """
     s = 100.0
-    cfg = ModelConfig(
-        sample_rate=16000, n_fft=64, hop=32, n_band=1, N=68, L=1, heads=2,
-        eps=s * s,
-    )
+    monkeypatch.setattr(bandsplit, "ENVELOPE_EPS", s * s)
+    cfg = ModelConfig(sample_rate=16000, n_fft=64, hop=32, n_band=1, N=68, L=1, heads=2)
     F = cfg.F                        # 33
     C = 2 * F + 1                    # 67 packed channels
     logs = np.log(s)
@@ -528,6 +528,18 @@ def test_identity_weight_construction_restores_input():
     out = restore(x, w, cfg)
     err = np.max(np.abs(out.samples - x.samples))
     assert err < 1e-2 * np.max(np.abs(x.samples))
+
+
+def test_restore_packs_digital_silence_without_warning():
+    """A take that starts in digital silence packs its silent frames as
+    zeros and log(sqrt(ENVELOPE_EPS)): restore() raises no floating-point
+    warning and gives finite output."""
+    cfg = toy_config()
+    x = np.concatenate([np.zeros(3000), _wave(3000, seed=6).samples])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = restore(Waveform(x, cfg.sample_rate), init_weights(cfg, 0), cfg)
+    assert len(out) == len(x) and np.all(np.isfinite(out.samples))
 
 
 def test_restore_sample_rate_check():

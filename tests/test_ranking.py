@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vocalrestore.errors import (
+    ConfigError,
     ConnectivityError,
     DegenerateError,
     FormatError,
@@ -78,6 +79,9 @@ def test_category_split():
     data = ComparisonSet.from_csv(text)
     assert len(category_split(data, "c1").records) == 1
     assert len(category_split(data, "c2").records) == 1
+    with pytest.raises(ConfigError, match="no comparison has category 'c3'; "
+                                          "categories present: 'c1', 'c2'"):
+        category_split(data, "c3")
 
 
 def test_closed_form_ratio():

@@ -2,6 +2,7 @@
 the package; a refactor that renames one, or that calls a stage function
 through a captured object, would silently break ``run.py --trace 1``."""
 
+import dataclasses
 import importlib.util
 import inspect
 import os
@@ -128,6 +129,13 @@ def test_one_place_writes_the_lag_rule():
     hits = {path.name: path.read_text().count("conv_kernel - 1") for path in SRC.rglob("*.py")}
     assert sum(hits.values()) == 1, hits
     assert "conv_kernel - 1" in inspect.getsource(generator.ModelConfig.reaches)
+
+
+def test_every_model_config_field_is_an_int():
+    """ModelConfig.from_text parses every value with int(): a field of any
+    other type fails here until it gets a parse rule of its own."""
+    types = {f.name: f.type for f in dataclasses.fields(generator.ModelConfig)}
+    assert types and all(t in (int, "int") for t in types.values()), types
 
 
 def test_cli_import_loads_no_scipy():
