@@ -1,8 +1,9 @@
 """Mono WAV reading/writing and the canonical in-memory waveform type.
 
 Reads RIFF/WAVE with PCM 16-bit, PCM 24-bit, and IEEE float-32 encodings,
-single channel only, and writes IEEE float-32. Amplitudes are never
-clamped; the degradation pipeline relies on super-unit headroom internally.
+in the plain or the WAVE_FORMAT_EXTENSIBLE header, single channel only, and
+writes IEEE float-32. Amplitudes are never clamped; the degradation pipeline
+relies on super-unit headroom internally.
 """
 
 from __future__ import annotations
@@ -46,13 +47,17 @@ class Waveform:
 
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
+_FMT_EXTENSIBLE = 0xFFFE
+# The KSDATAFORMAT SubFormat GUIDs after their leading 2-byte format tag.
+_KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 def read_wav(path) -> Waveform:
     """Read a mono WAV file (PCM 16/24-bit or float-32).
 
     Integer PCM is scaled to [-1, 1) by dividing by 2**(bits-1); float data
-    is passed through unscaled.
+    is passed through unscaled. An extensible header is read by the format
+    tag its KSDATAFORMAT SubFormat GUID carries.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -83,6 +88,9 @@ def read_wav(path) -> Waveform:
         raise FormatError(f"{path}: missing data chunk")
 
     audio_format, n_channels, sample_rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
+    if (audio_format == _FMT_EXTENSIBLE and len(fmt) >= 40
+            and struct.unpack("<H", fmt[16:18])[0] >= 22 and fmt[26:40] == _KSDATAFORMAT_TAIL):
+        (audio_format,) = struct.unpack("<H", fmt[24:26])
     if n_channels != 1:
         raise FormatError(f"{path}: expected mono, got {n_channels} channels")
     if sample_rate < 1:
@@ -117,11 +125,17 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, sample_rate)
 
 
+def check_writable_rate(sample_rate: int) -> None:
+    """Raise ConfigError for a rate write_wav cannot store: a float32 WAV's
+    byte rate, 4 bytes a sample, is a u32 in its header."""
+    if 4 * sample_rate > 0xFFFFFFFF:
+        raise ConfigError(f"sample rate {sample_rate} Hz is above the float32 WAV "
+                          f"limit of {0xFFFFFFFF // 4} Hz (its byte rate is a u32)")
+
+
 def write_wav(wave: Waveform, path) -> None:
     """Write a mono IEEE float-32 WAV file, storing float32 samples bit-exactly."""
-    if 4 * wave.sample_rate > 0xFFFFFFFF:   # the byte rate does not fit the header's u32
-        raise ConfigError(f"sample rate {wave.sample_rate} Hz is above the float32 WAV "
-                          f"limit of {0xFFFFFFFF // 4} Hz (its byte rate is a u32)")
+    check_writable_rate(wave.sample_rate)
     payload = wave.samples.astype("<f4").tobytes()
     # 4-byte samples: block align 4, and the data chunk needs no pad byte.
     fmt = struct.pack("<HHIIHH", _FMT_IEEE_FLOAT, 1, wave.sample_rate, 4 * wave.sample_rate, 4, 32)

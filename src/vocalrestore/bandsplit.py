@@ -110,12 +110,12 @@ def band_envelope(spec: ComplexSpectrogram, layout: BandLayout) -> np.ndarray:
 
 
 def pack_band_features(spec: ComplexSpectrogram, layout: BandLayout) -> list[np.ndarray]:
-    """Per band: (2*bw_i + 1, T_s) array of normalized re/im plus log-envelope."""
+    """Per band: (2*bw_i + 1, T_s) normalized re/im plus log-envelope, in the bins' real dtype."""
     packed = []
     for sl, p in zip(layout.slices(), band_envelope(spec, layout)):
         norm = spec.bins[sl] / p  # broadcast over bins
         bw = norm.shape[0]
-        feats = np.empty((2 * bw + 1, spec.n_frames))
+        feats = np.empty((2 * bw + 1, spec.n_frames), norm.real.dtype)
         feats[0:2 * bw:2] = norm.real
         feats[1:2 * bw:2] = norm.imag
         feats[-1] = np.log(p)

@@ -21,7 +21,7 @@ from . import blas
 from . import degrade as degrade_mod
 from . import losses as losses_mod
 from . import ranking as ranking_mod
-from .audio_io import Waveform, read_wav, write_wav
+from .audio_io import Waveform, check_writable_rate, read_wav, write_wav
 from .errors import (
     ConfigError,
     ConnectivityError,
@@ -156,6 +156,7 @@ def run_bench(
 def cmd_restore(args) -> int:
     weights, config = _load_model(args)
     wave = read_wav(_require(args.infile))
+    check_writable_rate(wave.sample_rate)
     t0 = time.perf_counter()
     out = restore_chunked(wave, weights, config)
     elapsed = time.perf_counter() - t0
@@ -169,6 +170,7 @@ def cmd_restore(args) -> int:
 
 def cmd_degrade(args) -> int:
     wave = read_wav(_require(args.infile))
+    check_writable_rate(wave.sample_rate)
     if args.spec:
         with open(_require(args.spec)) as fh:
             spec = degrade_mod.DegradationSpec.from_text(fh.read())

@@ -199,7 +199,7 @@ def spectral_corrupt(
     jitter = rng.normal(0.0, phase_noise_std, size=bins.shape)
     # |X| * keep * exp(i (angle(X) + jitter)) = X * keep * exp(i jitter),
     # with exp(i jitter) written as cos + i sin into one buffer
-    rot = np.empty(bins.shape, np.complex128)
+    rot = np.empty(bins.shape, bins.dtype)
     np.cos(jitter, out=rot.real)
     np.sin(jitter, out=rot.imag)
     rot *= keep

@@ -2,8 +2,8 @@
 heads, reassembly, plus weight init/serialization and waveform restoration.
 
 The network runs in the weights' dtype (float32 as stored) from the stem to
-the synthesis heads. The STFT and band packing stay in float64; reassembly
-follows the heads' rows, and ComplexSpectrogram makes its bins complex128.
+the synthesis heads, and its output spectrogram keeps that dtype; the STFT
+and the band packing compute in their input's, float64 from a Waveform.
 All operations are deterministic. Where OpenBLAS runs 2 threads, each block
 runs as two halves, one on the caller's thread and one on the worker that
 blas.halves() hands out (see band_sequence_block); the module itself keeps
@@ -27,6 +27,7 @@ whole model is kept.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from concurrent import futures
 from dataclasses import dataclass, asdict, fields
@@ -270,7 +271,7 @@ def load_weights(path) -> dict:
             raise FormatError(f"{path}: malformed manifest entry {e!r}: {exc!r}") from exc
         if name in store:
             raise FormatError(f"{path}: manifest lists {name!r} twice, again in entry {e!r}")
-        n = int(np.prod(shape))
+        n = math.prod(shape)   # Python ints: np.prod would wrap past int64
         raw = payload[offset:offset + 4 * n]
         if len(raw) != 4 * n:
             raise FormatError(f"{path}: truncated payload for {name}")
@@ -501,8 +502,8 @@ def generator_forward(
     Takes the raw weights as stored and runs in their dtype (float32 as
     load_weights and init_weights return them; float64 weights give a
     float64 forward); each stage folds its own slice where it uses it (see
-    the module docstring). X is packed in float64 and cast to that dtype;
-    the heads' rows are reassembled in it, and the result is complex128.
+    the module docstring). X is packed in its precision, cast to that dtype
+    once, and the result is complex64 from float32 weights (complex128 from float64).
 
     X may be one chunk of a longer spectrogram, pushed in order, and last
     marks the final chunk. carry is the stream's state, a list that is

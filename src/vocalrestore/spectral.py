@@ -5,9 +5,9 @@ synthesis is weighted overlap-add with per-sample squared-window
 normalization, which reconstructs exactly wherever the squared-window
 overlap sum is bounded away from zero.
 
-Transforms run in 64-bit floats throughout. The model's analysis grid is
-ModelConfig.stft_params; SPEC_RESOLUTIONS are the grids the multi-resolution
-spectral loss and the discriminator's STFT branches share.
+Each transform computes in its input's precision; istft sums in float64.
+The model's grid is ModelConfig.stft_params; SPEC_RESOLUTIONS are the grids
+the multi-resolution spectral loss and the discriminator's STFT branches share.
 """
 
 from __future__ import annotations
@@ -74,13 +74,13 @@ SPEC_RESOLUTIONS = (
 
 @dataclass(frozen=True)
 class ComplexSpectrogram:
-    """One-sided complex spectrogram: bins has shape (F, T_s), complex128."""
+    """One-sided complex spectrogram: bins has shape (F, T_s), kept as given."""
 
     bins: np.ndarray
     params: StftParams
 
     def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.complex128)
+        arr = np.asarray(self.bins)
         if arr.ndim != 2:
             raise ShapeError(f"spectrogram must be 2-D, got ndim={arr.ndim}")
         if arr.shape[0] != self.params.n_bins:
@@ -97,8 +97,8 @@ class ComplexSpectrogram:
 
 
 def stft(wave: Waveform, params: StftParams) -> ComplexSpectrogram:
-    """Windowed framewise real FFT of a mono waveform."""
-    x = np.asarray(wave.samples, dtype=np.float64)
+    """Windowed framewise real FFT of a mono waveform: complex128 bins."""
+    x = wave.samples
     if len(x) < 1:
         raise ShapeError("cannot transform an empty waveform")
 
@@ -115,8 +115,8 @@ def stft(wave: Waveform, params: StftParams) -> ComplexSpectrogram:
 
 
 def istft(spec: ComplexSpectrogram, length: int, sample_rate: int) -> Waveform:
-    """Weighted-overlap-add synthesis back to `length` samples.
-
+    """Weighted-overlap-add synthesis back to `length` samples: the inverse
+    FFT and the window in the bins' precision, the overlap-add in float64.
     Raises ConfigError where the squared-window overlap sum falls
     below the COLA floor inside the requested output range.
     """

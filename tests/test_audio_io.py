@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vocalrestore.audio_io import Waveform, read_wav, write_wav
+from vocalrestore.cli import main
 from vocalrestore.errors import FormatError, ShapeError
 
 
@@ -71,6 +72,57 @@ def test_pcm24(tmp_path):
     vals = [0, 1 << 22, -(1 << 22), (1 << 23) - 1]
     back = read_wav(_pcm_wav(tmp_path / "d.wav", vals, 24))
     assert np.allclose(back.samples, np.array(vals) / float(1 << 23))
+
+
+def _extensible(plain, path, tag, cb_size=22):
+    """The WAV file `plain` rewritten with a WAVE_FORMAT_EXTENSIBLE fmt chunk
+    whose KSDATAFORMAT SubFormat GUID carries format tag `tag`."""
+    raw = plain.read_bytes()
+    _, channels, sr, byte_rate, align, bits = struct.unpack("<HHIIHH", raw[20:36])
+    fmt = (struct.pack("<HHIIHHHHI", 0xFFFE, channels, sr, byte_rate, align, bits,
+                       cb_size, bits, 0)
+           + struct.pack("<H", tag) + bytes.fromhex("000000001000800000aa00389b71"))
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + raw[raw.index(b"data"):]
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return path
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "pcm24", "float32"])
+def test_extensible_header_reads_as_plain(tmp_path, encoding):
+    """A WAVE_FORMAT_EXTENSIBLE header, as recorders write for 24-bit and
+    float files, reads exactly as the plain header over the same data."""
+    plain = tmp_path / "plain.wav"
+    x = _rand(700, seed=6)
+    if encoding == "float32":
+        write_wav(Waveform(x, 44100), plain)
+        tag = 3
+    else:
+        bits = int(encoding[3:])
+        _pcm_wav(plain, np.round(x * 2.0 ** (bits - 1)), bits, sr=44100)
+        tag = 1
+    want = read_wav(plain)
+    got = read_wav(_extensible(plain, tmp_path / "ext.wav", tag))
+    assert got.sample_rate == want.sample_rate == 44100
+    assert np.array_equal(got.samples, want.samples)
+
+
+@pytest.mark.parametrize("tag, cb_size", [(2, 22), (1, 0)], ids=["adpcm", "short_extension"])
+def test_other_extensible_headers_refused(tmp_path, tag, cb_size):
+    """An extensible header with any other SubFormat (here ADPCM), or too
+    short an extension to hold one, is refused with the file's name."""
+    plain = _pcm_wav(tmp_path / "plain.wav", [0, 1, -1], 16)
+    path = _extensible(plain, tmp_path / "ext.wav", tag, cb_size)
+    with pytest.raises(FormatError, match=r"ext\.wav: unsupported encoding"):
+        read_wav(path)
+
+
+def test_degrade_reads_an_extensible_float32_input(tmp_path):
+    """`degrade` takes an extensible float32 input as it takes a plain one."""
+    plain, out = tmp_path / "plain.wav", tmp_path / "out.wav"
+    write_wav(Waveform(_rand(9600, seed=7), 48000), plain)
+    inp = _extensible(plain, tmp_path / "ext.wav", 3)
+    assert main(["degrade", "--in", str(inp), "--out", str(out), "--seed", "3"]) == 0
+    assert len(read_wav(out)) == 9600
 
 
 def test_zero_sample_rate_names_file(tmp_path):

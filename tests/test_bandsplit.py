@@ -119,6 +119,17 @@ def test_packed_features():
         assert np.all(feats[: 2 * bw] ** 2 <= 1.0 + 1e-12)
 
 
+def test_packed_features_follow_the_bins_precision():
+    """complex64 bins pack to float32 rows, within 1e-6 of the float64 rows
+    that the complex128 bins of the same signal give."""
+    spec = _toy_spec(seed=5)
+    layout = mel_band_layout(129, 8, 16000)
+    spec32 = type(spec)(spec.bins.astype(np.complex64), spec.params)
+    for rows32, rows in zip(pack_band_features(spec32, layout), pack_band_features(spec, layout)):
+        assert rows32.dtype == np.float32 and rows.dtype == np.float64
+        assert np.max(np.abs(rows32 - rows)) <= 1e-6
+
+
 def test_reassemble_round_trip():
     """reassemble inverts pack_band_features' re/im interleave: the packed
     rows without the envelope row, times the envelope, give the bins back.

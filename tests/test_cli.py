@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from vocalrestore import blas, generator
+from vocalrestore import blas, cli, degrade, generator
 from vocalrestore.audio_io import Waveform, read_wav, write_wav
 from vocalrestore.cli import (
     EXIT_DISCONNECTED,
@@ -117,21 +117,56 @@ def test_degrade_where_a_window_tail_covers_the_last_sample(tmp_path):
     assert len(y) == 96255 and np.all(np.isfinite(y.samples))
 
 
-def test_degrade_refuses_a_rate_the_writer_cannot_store(tmp_path, capsys):
-    """A PCM16 input at 2**30 + 5 Hz reads, but a float32 WAV's u32 byte rate
-    (4 bytes a sample) cannot hold that rate: the write is refused with one
-    `error:` line that names the rate and the limit, and no output is left."""
-    rate = 2**30 + 5
+_UNWRITABLE_RATE = 2**30 + 5
+
+
+def _write_unwritable_rate_pcm16(path):
+    """A PCM16 input at 2**30 + 5 Hz: it reads, but a float32 WAV's u32 byte
+    rate (4 bytes a sample) cannot hold that rate."""
+    rate = _UNWRITABLE_RATE
     data = (np.random.default_rng(1).integers(-3000, 3000, 3000)).astype("<i2").tobytes()
     fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
     body = b"WAVEfmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", len(data)) + data
-    inp, out = tmp_path / "in.wav", tmp_path / "out.wav"
-    inp.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-    assert main(["degrade", "--in", str(inp), "--out", str(out), "--seed", "3"]) == 1
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def _assert_rate_refused(tmp_path, capsys, *kept):
     assert capsys.readouterr().err.splitlines() == [
-        f"error: sample rate {rate} Hz is above the float32 WAV limit of 1073741823 Hz "
-        "(its byte rate is a u32)"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav"]
+        f"error: sample rate {_UNWRITABLE_RATE} Hz is above the float32 WAV limit of "
+        "1073741823 Hz (its byte rate is a u32)"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["in.wav", *kept])
+
+
+def test_degrade_refuses_a_rate_the_writer_cannot_store(tmp_path, capsys, monkeypatch):
+    """An input at a rate the writer cannot store is refused right after it
+    is read, before any stage runs, with one `error:` line that names the
+    rate and the limit, and no output is left."""
+    def no_stage(*args):
+        raise AssertionError("a degradation stage ran")
+
+    monkeypatch.setattr(degrade, "replay_trace", no_stage)
+    inp = tmp_path / "in.wav"
+    _write_unwritable_rate_pcm16(inp)
+    assert main(["degrade", "--in", str(inp), "--out", str(tmp_path / "out.wav"),
+                 "--seed", "3"]) == 1
+    _assert_rate_refused(tmp_path, capsys)
+
+
+def test_restore_refuses_a_rate_the_writer_cannot_store(tmp_path, capsys, monkeypatch):
+    """restore refuses the same input before the forward runs, with a model
+    at that rate."""
+    def no_forward(*args):
+        raise AssertionError("the forward ran")
+
+    monkeypatch.setattr(cli, "restore_chunked", no_forward)
+    cfg = toy_config(sample_rate=_UNWRITABLE_RATE)
+    save_weights(init_weights(cfg, seed=0), tmp_path / "w.bin")
+    (tmp_path / "m.cfg").write_text(cfg.to_text())
+    inp = tmp_path / "in.wav"
+    _write_unwritable_rate_pcm16(inp)
+    assert main(["restore", "--in", str(inp), "--out", str(tmp_path / "out.wav"),
+                 "--weights", str(tmp_path / "w.bin"), "--config", str(tmp_path / "m.cfg")]) == 1
+    _assert_rate_refused(tmp_path, capsys, "w.bin", "m.cfg")
 
 
 def test_degrade_with_spec_file(tmp_path):
@@ -306,6 +341,8 @@ def _weights_bytes(manifest) -> bytes:
     (_weights_bytes([{"name": "a", "shape": [2], "dtype": "f64", "offset": 0}]), None, "",
      "bad.bin: malformed manifest entry {'name': 'a', 'shape': [2], 'dtype': 'f64', "
      "'offset': 0}: ValueError(\"dtype 'f64' is not 'f32'\")"),
+    (_weights_bytes([{"name": "a", "shape": [2**32, 2**32], "dtype": "f32", "offset": 0}]),
+     None, "", "bad.bin: truncated payload for a"),
     (None, "heads = 0", "", "heads"),
     (None, "heads = two", "", "config key 'heads'"),
     (None, None, "conv_kernel = 3\n", "unknown config key 'conv_kernel'"),
@@ -315,9 +352,9 @@ def _weights_bytes(manifest) -> bytes:
     (None, None, "N = 32\n", "config key 'N' is listed twice"),
     (None, "sample_rate = 0", "", "sample_rate must be >= 1, got 0"),
 ], ids=["ends_after_magic", "entry_without_offset", "manifest_object", "name_list",
-        "negative_offset", "negative_shape_pair", "negative_shape", "dtype_f64", "heads_0",
-        "heads_two", "removed_conv_kernel", "removed_dilation_cap", "removed_ff_expansion",
-        "removed_eps", "repeated_key", "sample_rate_0"])
+        "negative_offset", "negative_shape_pair", "negative_shape", "dtype_f64", "shape_overflow",
+        "heads_0", "heads_two", "removed_conv_kernel", "removed_dilation_cap",
+        "removed_ff_expansion", "removed_eps", "repeated_key", "sample_rate_0"])
 def test_malformed_model_files(model_files, tmp_path, capsys, weights, line, extra, cause):
     """A malformed weights file or config (`line` in place of its key's line,
     `extra` lines appended) exits 1 with `error: <cause>`, not a traceback."""

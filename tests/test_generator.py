@@ -369,6 +369,8 @@ def test_temporal_receptive_field():
 
 
 def test_forward_shape_and_determinism():
+    """The forward returns its heads' precision: complex64 bins from the
+    float32 weights, complex128 from float64 ones."""
     cfg = toy_config()
     w = init_weights(cfg, 11)
     x = _wave(3000, seed=1, sr=cfg.sample_rate)
@@ -376,8 +378,11 @@ def test_forward_shape_and_determinism():
     y1 = generator_forward(spec, w, cfg)
     y2 = generator_forward(spec, w, cfg)
     assert y1.bins.shape == spec.bins.shape
-    assert y1.bins.dtype == np.complex128
+    assert y1.bins.dtype == np.complex64
     assert np.array_equal(y1.bins, y2.bins)
+    y64 = generator_forward(spec, {k: v.astype(np.float64) for k, v in w.items()}, cfg)
+    assert y64.bins.shape == spec.bins.shape
+    assert y64.bins.dtype == np.complex128
     with pytest.raises(ShapeError):
         generator_forward(spec, w, toy_config(n_fft=512, hop=256))
 
@@ -562,9 +567,11 @@ def test_restore_where_a_window_tail_covers_the_last_sample():
 
 
 def _single_pass(x, w, cfg):
-    """stft -> generator_forward over the whole spectrogram -> istft."""
+    """stft -> generator_forward over the whole spectrogram, written over it
+    as restore() writes each push -> istft."""
     X = stft(x, StftParams(n_fft=cfg.n_fft, hop=cfg.hop))
-    return istft(generator_forward(X, w, cfg), len(x), sample_rate=x.sample_rate)
+    X.bins[:] = generator_forward(X, w, cfg).bins
+    return istft(X, len(x), sample_rate=x.sample_rate)
 
 
 def test_restore_chunks_match_single_pass(monkeypatch):
@@ -578,11 +585,16 @@ def test_restore_chunks_match_single_pass(monkeypatch):
     pass and round differently. Over seeds 1-10 of this set-up the worst
     chunk size read 0.87e-6 to 1.44e-6 of the RMS, so the bound is 2e-6;
     a carry one frame short fails it by orders of magnitude. The float64
-    form below carries the exactness claim."""
+    form below carries the exactness claim. istft straight on the forward's
+    complex64 bins, its inverse FFT in float32, lands within 1e-6 of the RMS
+    of the single pass, which synthesizes from complex128."""
     cfg = toy_config()
     w = _gamma_weights(cfg, 1, 0.5)
     x = _wave(86 * cfg.hop + 37, seed=1, sr=cfg.sample_rate)    # 87 frames
     ref = _single_pass(x, w, cfg).samples
+    Y = generator_forward(stft(x, StftParams(n_fft=cfg.n_fft, hop=cfg.hop)), w, cfg)
+    direct = istft(Y, len(x), sample_rate=x.sample_rate).samples
+    assert np.max(np.abs(direct - ref)) <= 1e-6 * np.sqrt(np.mean(ref**2))
     for chunk in (16, 7, 1):
         monkeypatch.setattr(generator, "CHUNK_FRAMES", chunk)
         out = restore(x, w, cfg).samples

@@ -122,6 +122,15 @@ def test_magnitude():
     assert np.allclose(magnitude(spec), np.abs(spec.bins))
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_spectrogram_wraps_its_bins_as_given(dtype):
+    """ComplexSpectrogram keeps the precision its bins were made in: it
+    wraps them without a cast or a copy."""
+    b = stft(_wave(1000), TOY).bins.astype(dtype)
+    spec = ComplexSpectrogram(b, TOY)
+    assert spec.bins.dtype == dtype and np.shares_memory(spec.bins, b)
+
+
 def test_cached_window_is_read_only():
     """window_array() hands out the one cached window of its n_fft: writing
     to it raises, so no caller can change the stft of every other."""
