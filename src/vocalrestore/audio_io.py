@@ -53,11 +53,13 @@ _KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 def read_wav(path) -> Waveform:
-    """Read a mono WAV file (PCM 16/24-bit or float-32).
+    """Read a mono WAV file (PCM 16/24/32-bit or float-32).
 
     Integer PCM is scaled to [-1, 1) by dividing by 2**(bits-1); float data
     is passed through unscaled. An extensible header is read by the format
-    tag its KSDATAFORMAT SubFormat GUID carries.
+    tag its KSDATAFORMAT SubFormat GUID carries; fewer valid bits than the
+    container holds (24 in 32) sit in its high bits, so they scale by the
+    container's size.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -111,6 +113,10 @@ def read_wav(path) -> Waveform:
         )
         ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
         samples = ints.astype(np.float64) / float(1 << 23)
+    elif audio_format == _FMT_PCM and bits == 32:
+        if len(data) % 4:
+            raise FormatError(f"{path}: data chunk not a whole number of samples")
+        samples = np.frombuffer(data, dtype="<i4").astype(np.float64) / 2.0**31
     elif audio_format == _FMT_IEEE_FLOAT and bits == 32:
         if len(data) % 4:
             raise FormatError(f"{path}: data chunk not a whole number of samples")

@@ -78,6 +78,20 @@ def freq_shape(wave: Waveform, freqs_hz, gains_db) -> Waveform:
     return istft(shaped, len(wave), wave.sample_rate)
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth length 2^a 3^b 5^c >= n, which pocketfft
+    transforms without a Bluestein step."""
+    best = 1 << (n - 1).bit_length()     # the smallest power of two >= n
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:                  # p = 3^b 5^c, times the fewest 2s that reach n
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
 def reverb(wave: Waveform, rt60: float, wet: float, seed: int) -> Waveform:
     """Convolve with a synthetic impulse response: unit direct tap plus
     seeded white noise under an exponential decay reaching -60 dB at rt60."""
@@ -87,9 +101,12 @@ def reverb(wave: Waveform, rt60: float, wet: float, seed: int) -> Waveform:
     t = np.arange(ir_len) / sr
     ir = _rng(seed).standard_normal(ir_len) * np.exp(-6.91 * t / rt60)
     ir[0] = 1.0
-    from scipy.signal import fftconvolve
-
-    rev = fftconvolve(wave.samples, ir)[: len(wave)]
+    if ir_len == 1:
+        rev = wave.samples * ir          # a gain: a transform would only round it
+    else:
+        # linear convolution at a 5-smooth length >= n + ir_len - 1, kept to n
+        M = _fast_len(len(wave) + ir_len - 1)
+        rev = np.fft.irfft(np.fft.rfft(wave.samples, M) * np.fft.rfft(ir, M), M)[: len(wave)]
     return Waveform((1.0 - wet) * wave.samples + wet * rev, sr)
 
 
@@ -118,14 +135,11 @@ def _pink_kernel(n: int) -> tuple:
     Bluestein step; otherwise the smallest 5-smooth M >= 2n - 1, where the
     linear convolution with h folds back onto the circular one. One entry,
     read-only: a replay after its chain, or a run of crops of one length,
-    shares it, and memory stays at one kernel (about 16 n bytes). scipy is
-    imported here, not at module level, to keep it out of the CLI's start-up."""
-    from scipy.fft import next_fast_len   # 5-smooth lengths with real=True
-
+    shares it, and memory stays at one kernel (about 16 n bytes)."""
     f = np.arange(n // 2 + 1, dtype=np.float64)
     f[0] = 1.0
     H = 1.0 / np.sqrt(f)
-    M = n if next_fast_len(n, real=True) == n else next_fast_len(2 * n - 1, real=True)
+    M = n if _fast_len(n) == n else _fast_len(2 * n - 1)
     if M != n:
         H = np.fft.rfft(np.fft.irfft(H, n), M)
     H.flags.writeable = False

@@ -123,19 +123,34 @@ def _win_matrix(data: ComparisonSet):
     return systems, W
 
 
+def _components(adjacent: np.ndarray) -> np.ndarray:
+    """Component label of each node of the undirected graph `adjacent` (a
+    symmetric boolean matrix), numbered in the order of each component's
+    lowest node."""
+    labels = np.full(len(adjacent), -1)
+    for start in range(len(adjacent)):
+        if labels[start] < 0:
+            reached = np.zeros(len(adjacent), dtype=bool)
+            reached[start] = True
+            while True:                  # grow by one edge a pass until closed
+                grown = reached | adjacent[reached].any(axis=0)
+                if np.array_equal(grown, reached):
+                    break
+                reached = grown
+            labels[reached] = labels.max() + 1
+    return labels
+
+
 def fit_bradley_terry(data: ComparisonSet) -> StrengthTable:
     """MM fixed-point fit of Bradley-Terry strengths with half-win ties."""
     systems, W = _win_matrix(data)
     if len(systems) < 2:
         raise DegenerateError("need at least two systems")
     T = W + W.T
-    # Imported here: the restore path, which never ranks, loads no scipy.sparse.
-    from scipy.sparse.csgraph import connected_components
-
-    n_comp, labels = connected_components(T > 0, directed=False)
-    if n_comp > 1:
+    labels = _components(T > 0)
+    if labels.max() > 0:
         raise ConnectivityError(
-            [[s for s, k in zip(systems, labels) if k == c] for c in range(n_comp)])
+            [[s for s, k in zip(systems, labels) if k == c] for c in range(labels.max() + 1)])
 
     wins = W.sum(axis=1)
     losses = W.sum(axis=0)

@@ -74,13 +74,14 @@ def test_pcm24(tmp_path):
     assert np.allclose(back.samples, np.array(vals) / float(1 << 23))
 
 
-def _extensible(plain, path, tag, cb_size=22):
+def _extensible(plain, path, tag, cb_size=22, valid_bits=None):
     """The WAV file `plain` rewritten with a WAVE_FORMAT_EXTENSIBLE fmt chunk
-    whose KSDATAFORMAT SubFormat GUID carries format tag `tag`."""
+    whose KSDATAFORMAT SubFormat GUID carries format tag `tag`, declaring
+    `valid_bits` (default: the container's) valid bits a sample."""
     raw = plain.read_bytes()
     _, channels, sr, byte_rate, align, bits = struct.unpack("<HHIIHH", raw[20:36])
     fmt = (struct.pack("<HHIIHHHHI", 0xFFFE, channels, sr, byte_rate, align, bits,
-                       cb_size, bits, 0)
+                       cb_size, valid_bits or bits, 0)
            + struct.pack("<H", tag) + bytes.fromhex("000000001000800000aa00389b71"))
     body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + raw[raw.index(b"data"):]
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
@@ -103,6 +104,29 @@ def test_extensible_header_reads_as_plain(tmp_path, encoding):
     want = read_wav(plain)
     got = read_wav(_extensible(plain, tmp_path / "ext.wav", tag))
     assert got.sample_rate == want.sample_rate == 44100
+    assert np.array_equal(got.samples, want.samples)
+
+
+def test_pcm32_extremes(tmp_path):
+    """32-bit integer PCM decodes with 2^-31 scaling, full scale included."""
+    back = read_wav(_pcm_wav(tmp_path / "e.wav", [-(1 << 31), 0, 1, (1 << 31) - 1], 32))
+    assert np.array_equal(back.samples, [-1.0, 0.0, 2.0**-31, 1.0 - 2.0**-31])
+
+
+@pytest.mark.parametrize("valid_bits", [None, 32, 24], ids=["plain", "extensible", "24_in_32"])
+def test_pcm32_reads_as_float32(tmp_path, valid_bits):
+    """24-bit values shifted into 32-bit containers, in a plain header, an
+    extensible one, and an extensible one that declares 24 valid bits (as
+    recorders write them), read exactly as a float32 file of the same
+    values: 24-bit integers over 2^23 are exact in float32."""
+    ints = np.round(_rand(700, seed=8) * 2.0**23)
+    write_wav(Waveform(ints / 2.0**23, 44100), tmp_path / "f.wav")
+    want = read_wav(tmp_path / "f.wav")
+    path = _pcm_wav(tmp_path / "pcm32.wav", ints * 256, 32, sr=44100)
+    if valid_bits is not None:
+        path = _extensible(path, tmp_path / "ext.wav", 1, valid_bits=valid_bits)
+    got = read_wav(path)
+    assert got.sample_rate == 44100
     assert np.array_equal(got.samples, want.samples)
 
 

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 from vocalrestore.audio_io import Waveform
 from vocalrestore.degrade import (
@@ -13,6 +15,7 @@ from vocalrestore.degrade import (
     DegradationSpec,
     StageConfig,
     StageTrace,
+    _fast_len,
     _pink_kernel,
     add_noise,
     apply_chain,
@@ -89,6 +92,35 @@ def test_reverb_dry_passthrough():
     x = _wave(seed=3)
     out = reverb(x, rt60=1.0, wet=0.0, seed=0)
     assert np.array_equal(out.samples, x.samples)
+
+
+# (n, sample rate, rt60): one sample; the response clamped to the input
+# (1.5 rt60 of samples reaches past it), at n + ir_len - 1 5-smooth and
+# not; a response shorter than the input; and one tap, a gain, at a rate
+# of 6 Hz
+REVERB_CASES = [(1, SR, 0.5), (2, SR, 0.5), (1000, SR, 0.5), (72000, SR, 1.2),
+                (143999, SR, 2.9), (144000, SR, 3.0), (72000, SR, 0.3), (50, 6, 0.1)]
+
+
+@pytest.mark.parametrize("n, sr, rt60", REVERB_CASES)
+def test_reverb_matches_fftconvolve(n, sr, rt60):
+    """The wet path is scipy's fftconvolve(x, ir)[:n] bit for bit, with the
+    response reverb draws."""
+    x = _philox(n).standard_normal(n) * 0.3
+    ir_len = min(int(rt60 * 1.5 * sr) + 1, n)
+    t = np.arange(ir_len) / sr
+    ir = _philox(5).standard_normal(ir_len) * np.exp(-6.91 * t / rt60)
+    ir[0] = 1.0
+    wet = reverb(Waveform(x, sr), rt60, wet=1.0, seed=5).samples
+    assert np.array_equal(wet, fftconvolve(x, ir)[:n])
+
+
+def test_fast_len_matches_scipy():
+    """_fast_len is scipy.fft.next_fast_len(n, real=True): the smallest
+    5-smooth length >= n, on every n to 20000 and on seeded larger ones."""
+    big = np.random.default_rng(0).integers(20001, 10**9, 2000)
+    for n in [*range(1, 20001), *map(int, big)]:
+        assert _fast_len(n) == next_fast_len(n, real=True), n
 
 
 def test_reverb_adds_tail_energy():

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vocalrestore import bandsplit, blas, generator
 from vocalrestore.audio_io import Waveform
@@ -622,6 +623,32 @@ def test_restore_chunks_match_single_pass_float64(monkeypatch, seed, n_band):
         monkeypatch.setattr(generator, "CHUNK_FRAMES", chunk)
         out = restore(x, w, cfg).samples
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2)), chunk
+
+
+@st.composite
+def _stream_shapes(draw):
+    hop = draw(st.sampled_from([64, 96, 128]))
+    return dict(hop=hop, n=draw(st.integers(1, 60 * hop)), chunk=draw(st.integers(1, 40)),
+                L=draw(st.integers(1, 4)), n_band=draw(st.sampled_from([1, 3, 8])),
+                seed=draw(st.integers(0, 2**16)))
+
+
+@given(_stream_shapes())
+@settings(max_examples=60, deadline=None)
+def test_restore_stream_matches_single_pass_on_every_shape(shape):
+    """restore() over any input length (1 sample to 60 hops), chunk size
+    (1-40 frames), block count, band count and hop at n_fft 256 equals one
+    forward pass over the whole input, in float64 with every gamma at 0.5:
+    within 1e-12 of its RMS. The lengths cover chunks shorter than a conv's
+    look-ahead and a last push of any size."""
+    cfg = toy_config(n_fft=256, hop=shape["hop"], L=shape["L"], n_band=shape["n_band"])
+    w = {k: v.astype(np.float64) for k, v in _gamma_weights(cfg, shape["seed"], 0.5).items()}
+    x = _wave(shape["n"], seed=shape["seed"], sr=cfg.sample_rate)
+    ref = _single_pass(x, w, cfg).samples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generator, "CHUNK_FRAMES", shape["chunk"])
+        out = restore(x, w, cfg).samples
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.sqrt(np.mean(ref**2))
 
 
 def test_restore_writes_over_its_input_spectrogram(monkeypatch):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from vocalrestore.errors import (
     ConfigError,
@@ -14,6 +15,7 @@ from vocalrestore.ranking import (
     Comparison,
     ComparisonSet,
     StrengthTable,
+    _components,
     category_split,
     elo_scores,
     fit_bradley_terry,
@@ -170,6 +172,23 @@ def test_connectivity_error():
         fit_bradley_terry(ComparisonSet(records))
     comps = info.value.components
     assert sorted(sorted(c) for c in comps) == [["a", "b"], ["c", "d"]]
+
+
+def test_components_match_scipy():
+    """_components labels the nodes as scipy's connected_components does,
+    components numbered by their lowest node, so ConnectivityError lists
+    the same groups in the same order. Seeded random graphs, sparse to
+    dense, with and without self-loops."""
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        n = int(rng.integers(1, 25))
+        adjacent = rng.random((n, n)) < rng.uniform(0.0, 0.3)
+        adjacent |= adjacent.T
+        if rng.random() < 0.5:
+            np.fill_diagonal(adjacent, False)
+        count, labels = connected_components(adjacent, directed=False)
+        got = _components(adjacent)
+        assert np.array_equal(got, labels) and got.max() + 1 == count
 
 
 def test_degenerate_error():

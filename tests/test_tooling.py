@@ -148,3 +148,35 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+_SYNTH_AND_RANK = """
+import sys
+import numpy as np
+from vocalrestore import degrade, discriminator, losses, ranking
+from vocalrestore.audio_io import Waveform
+from vocalrestore.spectral import StftParams, stft
+
+x = Waveform(0.1 * np.random.default_rng(0).standard_normal(discriminator.MIN_SAMPLES), 16000)
+y, trace = degrade.apply_chain(x, degrade.DegradationSpec.default(seed=3, prob=1.0))
+assert [e["stage"] for e in trace.entries] == list(degrade.STAGE_ORDER)
+degrade.replay_trace(x, trace)
+params = StftParams(n_fft=512, hop=128)
+losses.reconstruction_loss(y, x, stft(y, params), stft(x, params))
+config = discriminator.DiscriminatorConfig()
+discriminator.discriminator_forward(y, discriminator.init_discriminator_weights(config, 0), config)
+pairs = [("a", "b"), ("b", "c"), ("c", "a")]
+ranking.rank_report(ranking.ComparisonSet(
+    [ranking.Comparison(s, t, o) for s, t in pairs for o in ("a", "b", "tie")]))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_synthesis_and_ranking_load_no_scipy():
+    """Every degrade stage, a replay, the reconstruction losses, the
+    discriminator and a ranking report run on numpy alone: none of them
+    loads a scipy module."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", _SYNTH_AND_RANK], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
