@@ -1,6 +1,6 @@
 """Mono WAV reading/writing and the canonical in-memory waveform type.
 
-Reads RIFF/WAVE with PCM 16-bit, PCM 24-bit, and IEEE float-32 encodings,
+Reads RIFF/WAVE with PCM 16-, 24- and 32-bit and IEEE float-32 encodings,
 in the plain or the WAVE_FORMAT_EXTENSIBLE header, single channel only, and
 writes IEEE float-32. Amplitudes are never clamped; the degradation pipeline
 relies on super-unit headroom internally.
@@ -55,11 +55,12 @@ _KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 def read_wav(path) -> Waveform:
     """Read a mono WAV file (PCM 16/24/32-bit or float-32).
 
-    Integer PCM is scaled to [-1, 1) by dividing by 2**(bits-1); float data
-    is passed through unscaled. An extensible header is read by the format
-    tag its KSDATAFORMAT SubFormat GUID carries; fewer valid bits than the
-    container holds (24 in 32) sit in its high bits, so they scale by the
-    container's size.
+    Integer PCM is scaled to [-1, 1) by dividing by 2**(bits-1): each
+    sample sits in the high bytes of a 32-bit integer that is divided by
+    2**31, exactly. Float data is passed through unscaled. An extensible
+    header is read by the format tag its KSDATAFORMAT SubFormat GUID
+    carries; fewer valid bits than the container holds (24 in 32) sit in its
+    high bits, so they scale by the container's size.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -98,33 +99,21 @@ def read_wav(path) -> Waveform:
     if sample_rate < 1:
         raise FormatError(f"{path}: sample rate must be >= 1, got {sample_rate}")
 
-    if audio_format == _FMT_PCM and bits == 16:
-        if len(data) % 2:
-            raise FormatError(f"{path}: data chunk not a whole number of samples")
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == _FMT_PCM and bits == 24:
-        if len(data) % 3:
-            raise FormatError(f"{path}: data chunk not a whole number of samples")
-        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
-        ints = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int32) << 16)
-        )
-        ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
-        samples = ints.astype(np.float64) / float(1 << 23)
-    elif audio_format == _FMT_PCM and bits == 32:
-        if len(data) % 4:
-            raise FormatError(f"{path}: data chunk not a whole number of samples")
-        samples = np.frombuffer(data, dtype="<i4").astype(np.float64) / 2.0**31
-    elif audio_format == _FMT_IEEE_FLOAT and bits == 32:
-        if len(data) % 4:
-            raise FormatError(f"{path}: data chunk not a whole number of samples")
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    pcm = audio_format == _FMT_PCM and bits in (16, 24, 32)
+    if not pcm and (audio_format, bits) != (_FMT_IEEE_FLOAT, 32):
         raise FormatError(
             f"{path}: unsupported encoding (format={audio_format}, bits={bits})"
         )
+    width = bits // 8
+    if len(data) % width:
+        raise FormatError(f"{path}: data chunk not a whole number of samples")
+    if pcm:
+        # each sample in the high bytes of a little-endian int32
+        staged = np.zeros((len(data) // width, 4), np.uint8)
+        staged[:, 4 - width:] = np.frombuffer(data, np.uint8).reshape(-1, width)
+        samples = staged.view("<i4")[:, 0] / 2.0**31
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
 
     if samples.size and not np.all(np.isfinite(samples)):
         raise FormatError(f"{path}: non-finite sample values")

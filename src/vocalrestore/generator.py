@@ -349,27 +349,6 @@ def _attention_path(H: np.ndarray, weights: dict, config: ModelConfig, prefix: s
     return out
 
 
-def _add_frames(out, past, x, start: int) -> None:
-    """out += (past ++ x)[..., start:start + T] along time, slice by slice,
-    for T = out.shape[-1]."""
-    P = past.shape[-1]
-    T = out.shape[-1]
-    if start < P:
-        out[..., :P - start] += past[..., start:start + T]
-    lo = max(P - start, 0)
-    if lo < T:
-        out[..., lo:] += x[..., lo + start - P:T + start - P]
-
-
-def _frames_from(past, x, start: int) -> np.ndarray:
-    """A copy of (past ++ x)[..., start:] along time: the few boundary frames
-    a carry keeps, never a view that would hold the whole chunk."""
-    P = past.shape[-1]
-    if start >= P:
-        return x[..., start - P:].copy()
-    return np.concatenate([past[..., start:], x], axis=-1)
-
-
 def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: int,
                    pasts: list, last: bool):
     """Stack of dilated depthwise ConvNeXT blocks over time, weights shared
@@ -379,27 +358,32 @@ def _temporal_path(H, weights, config: ModelConfig, prefix: str, layer_index: in
     into pw2's rows and bias.
 
     pasts[j] holds the input frames before H that conv j still reads, at
-    least its reach a (see generator_forward); the conv replaces it with
-    the ones its next push reads, 2a once a frames have passed. Its outputs
-    trail its input by a frames until the last push, so the residual adds
-    the input frames from a on of the past and the chunk.
+    least its reach a (see generator_forward). Each conv runs valid-mode
+    over one joined sequence: its past, the push, and on the last push a
+    frames of zeros for the signal end. Its outputs trail its input by a
+    frames until the last push. The residual adds the sequence's frames
+    from a on, and the conv's next past is the sequence's frames its
+    outputs have not yet passed, 2a once a frames have gone by.
     """
     x = H
     w = weights
     for j, (dil, a) in enumerate(zip(config.dilations(layer_index), config.reaches(layer_index))):
         q = f"{prefix}.temporal{j}"
-        past = pasts[j]
         gamma = w[f"{q}.gamma"]
+        end = np.zeros(x.shape[:-1] + (a if last else 0,), x.dtype)
+        seq = np.concatenate([pasts[j], x, end], axis=-1)
+        del x
         # each step rebinds u, so its input is freed before the next kernel runs
-        u = depthwise_conv1d(x, w[f"{q}.dw.kernel"], dil, past, last)
+        u = depthwise_conv1d(seq, w[f"{q}.dw.kernel"], dil)
         u += w[f"{q}.dw.bias"][:, None, None]
         u = rmsnorm(u)
         u = pointwise_conv(u, w[f"{q}.pw1.weight"] * (w[f"{q}.norm.gain"] * 0.5),
                            w[f"{q}.pw1.bias"] * 0.5)
         u = glu(u)
         u = pointwise_conv(u, w[f"{q}.pw2.weight"] * gamma[:, None], w[f"{q}.pw2.bias"] * gamma)
-        _add_frames(u, past, x, a)
-        pasts[j] = _frames_from(past, x, u.shape[-1])
+        T = u.shape[-1]
+        u += seq[..., a:a + T]
+        pasts[j] = seq[..., T:seq.shape[-1] - end.shape[-1]].copy()
         x = u
     return x
 
@@ -450,17 +434,22 @@ def band_sequence_block(
     carry is this block's entry of generator_forward's carry (none: a
     fresh one), updated in place. Its held attention frames are those not
     yet emitted, so each lands on its own frame: of held + T, the block
-    emits all on the last push, else all but the sum of its reaches.
+    emits all on the last push, else all but the sum of its reaches. The
+    halves write the attention output into one buffer behind the held
+    frames; its first frames add onto the temporal output and the rest are
+    held for the next push.
     """
     if H.shape[:2] != (config.N, config.n_band):
         raise ShapeError(f"expected ({config.N}, {config.n_band}, T), got {H.shape}")
     if carry is None:
         carry = _fresh_block_carry(config, layer_index, H.dtype)
     N, nb, T = H.shape
-    held = carry[-1]
+    P = carry[-1].shape[-1]
     lag = 0 if last else sum(config.reaches(layer_index))
-    out = np.empty((N, nb, max(held.shape[-1] + T - lag, 0)), H.dtype)
-    attention = np.empty_like(H)
+    out = np.empty((N, nb, max(P + T - lag, 0)), H.dtype)
+    seq = np.empty((N, nb, P + T), H.dtype)
+    seq[..., :P] = carry[-1]
+    attention = seq[..., P:]
     args = (H, weights, config, layer_index, carry, last)
     with blas.halves() as worker:
         if worker is not None:
@@ -474,8 +463,9 @@ def band_sequence_block(
         else:
             halves = (_half(*args, slice(None), slice(None), out, attention),)
     carry[:-1] = [np.concatenate(pasts, axis=1) for pasts in zip(*halves)]
-    _add_frames(out, held, attention, 0)
-    carry[-1] = _frames_from(held, attention, out.shape[-1])
+    T_out = out.shape[-1]
+    out += seq[..., :T_out]
+    carry[-1] = seq[..., T_out:].copy()
     return out
 
 
@@ -509,8 +499,11 @@ def generator_forward(
     marks the final chunk. carry is the stream's state, a list that is
     empty before the first push, which fills it (see _fresh_block_carry):
     per block, each depthwise conv's past (the input frames it still
-    reads), then the attention frames the block has yet to emit. The result
-    holds the output frames this push completes, which follow those of the
+    reads), then the attention frames the block has yet to emit. This module
+    owns that stream: each conv and each block joins its carried frames in
+    front of the push (and a conv its end padding on the last push) and
+    reads the joined frames, and nncore keeps no state. The result holds
+    the output frames this push completes, which follow those of the
     previous push: they lag X by up to receptive_field(config) frames, and
     the last push emits the rest. A whole spectrogram is one push with no
     carry that is also the last, and gives X's frame count.

@@ -6,7 +6,8 @@ take (C, ..., T) arrays and act on axis 0 (channels) and the last axis
 which rotates in place, and glu, which writes its gate into its input's gate
 half, are pure functions; compute dtype follows the input dtype (RoPE's
 tables included), so callers choose precision. No autodiff, no dropout, no
-state.
+state: depthwise_conv1d is valid-mode, so the padding and the carried past
+of a stream are frames the caller joins onto its input.
 
 The kernels carry no parameter that a caller can fold into the weights of a
 1x1 conv: rmsnorm has no gain, attention_core no 1/sqrt(d) scale, and silu
@@ -58,23 +59,17 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return out
 
 
-def depthwise_conv1d(
-    x: np.ndarray, kernels: np.ndarray, dilation: int, past: np.ndarray, last: bool,
-) -> np.ndarray:
-    """Per-channel dilated correlation along time over past ++ x, keeping
-    only the outputs whose taps have all arrived.
+def depthwise_conv1d(x: np.ndarray, kernels: np.ndarray, dilation: int) -> np.ndarray:
+    """Per-channel dilated valid-mode correlation along time.
 
     x: (C, ..., T); kernels: (C, k) with k odd, shared over the middle axes.
-    With a = dilation * (k - 1) / 2, past holds the input frames before x,
-    at least a of them: the caller's carry, which at the signal start is a
-    frames of zeros. last appends a frames of zeros for the signal end.
-    Output frame j is centred on input frame j + a of past ++ x. With a zero
-    past and last set, this is the same-length correlation whose
-    out-of-range taps read zeros.
+    With a = dilation * (k - 1) / 2, output frame j is centred on input
+    frame j + a and reads only frames of x, so the output has T - 2a frames
+    (none if T < 2a). Padding, and the carry of a stream, are the caller's:
+    it joins them onto x (see generator._temporal_path).
 
     The centre tap makes the output buffer and every other tap adds its
-    shifted slices of past and x in place, so no padded or joined copy of
-    either is made.
+    shifted slice of x in place, in tap order.
     """
     kernels = np.asarray(kernels)
     if kernels.ndim != 2 or kernels.shape[0] != x.shape[0]:
@@ -87,23 +82,11 @@ def depthwise_conv1d(
     if dilation < 1:
         raise ConfigError(f"dilation must be >= 1, got {dilation}")
     centre = (k - 1) // 2
-    a = centre * dilation
-    P = past.shape[-1]
-    if past.shape[:-1] != x.shape[:-1] or P < a:
-        raise ShapeError(f"past {past.shape} must be {x.shape[:-1]} by at least {a} frames")
-    T = max(P + x.shape[-1] + (a if last else 0) - 2 * a, 0)
+    T = max(x.shape[-1] - 2 * centre * dilation, 0)
     kernels = kernels.reshape(kernels.shape + (1,) * (x.ndim - 1))
-    out = np.empty(x.shape[:-1] + (T,), np.result_type(x, kernels))
-    for j in (centre, *range(centre), *range(centre + 1, k)):
-        off = j * dilation
-        for piece, start in ((past, 0), (x, P)):
-            lo, hi = max(start - off, 0), min(start + piece.shape[-1] - off, T)
-            if lo < hi:
-                src = piece[..., lo + off - start:hi + off - start]
-                if j == centre:
-                    np.multiply(src, kernels[:, j], out=out[..., lo:hi])
-                else:
-                    out[..., lo:hi] += kernels[:, j] * src
+    out = np.multiply(x[..., centre * dilation:centre * dilation + T], kernels[:, centre])
+    for j in (*range(centre), *range(centre + 1, k)):
+        out += kernels[:, j] * x[..., j * dilation:j * dilation + T]
     return out
 
 

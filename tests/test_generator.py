@@ -369,6 +369,32 @@ def test_temporal_receptive_field():
     assert np.all(diff[: t0 - R] == 0.0) and np.all(diff[t0 + R + 1:] == 0.0)
 
 
+def test_temporal_path_pieces_match_one_push_float64():
+    """The temporal path pushed in pieces, each conv joining its carried
+    past in front of the piece and its end padding behind the last one,
+    emits the frames of one push over the whole input bit for bit in
+    float64, for pieces shorter than the convs' reach too. (In float32 at
+    toy sizes the pointwise GEMMs block by column count, so other piece
+    sizes round differently.)"""
+    cfg = toy_config()
+    w = {k: v.astype(np.float64) for k, v in _gamma_weights(cfg, 5, 0.5).items()}
+    H = np.random.default_rng(9).standard_normal((cfg.N, cfg.n_band, 40))
+    layer = 1
+
+    def fresh():
+        return [np.zeros((cfg.N, cfg.n_band, a)) for a in cfg.reaches(layer)]
+
+    whole = generator._temporal_path(H, w, cfg, "block1", layer, fresh(), True)
+    assert whole.shape == H.shape
+    for sizes in ([40], [13, 27], [1] * 40, [5, 1, 2, 9, 23]):
+        pasts, outs, start = fresh(), [], 0
+        for i, n in enumerate(sizes):
+            outs.append(generator._temporal_path(H[..., start:start + n], w, cfg, "block1",
+                                                 layer, pasts, i == len(sizes) - 1))
+            start += n
+        assert np.array_equal(np.concatenate(outs, axis=-1), whole), sizes
+
+
 def test_forward_shape_and_determinism():
     """The forward returns its heads' precision: complex64 bins from the
     float32 weights, complex128 from float64 ones."""

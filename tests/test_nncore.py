@@ -92,9 +92,10 @@ def test_pointwise_conv_oracle():
 
 
 def _same(x, kernels, dilation):
-    """The one-push, same-length conv: a zero carry of the reach, then the end."""
+    """The same-length conv: the valid-mode kernel over x padded by its
+    reach a of zeros on each side."""
     a = (kernels.shape[1] - 1) // 2 * dilation
-    return depthwise_conv1d(x, kernels, dilation, np.zeros(x.shape[:-1] + (a,), x.dtype), True)
+    return depthwise_conv1d(np.pad(x, [(0, 0)] * (x.ndim - 1) + [(a, a)]), kernels, dilation)
 
 
 @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
@@ -150,9 +151,10 @@ def test_depthwise_conv_trim_bitwise(dilation):
 @pytest.mark.parametrize("dilation", [1, 2, 4])
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_depthwise_conv_carried_pushes_bitwise(dilation, k):
-    """Pushed in pieces, each push reading the carry of input frames the
-    later outputs still need, the conv emits every frame of the one-push
-    output once and bit for bit, for pushes shorter than its reach too."""
+    """Pushed in pieces, each push joining the carry of input frames the
+    later outputs still need in front of the piece (and a frames of zeros
+    behind the last one), the conv emits every frame of the one-push output
+    once and bit for bit, for pushes shorter than its reach too."""
     x = _rng(12).standard_normal((3, 2, 40))
     kernels = _rng(13).standard_normal((3, k))
     whole = _same(x, kernels, dilation)
@@ -160,30 +162,28 @@ def test_depthwise_conv_carried_pushes_bitwise(dilation, k):
     for sizes in ([40], [13, 27], [1] * 40, [5, 1, 2, 9, 23]):
         past, outs, start = np.zeros((3, 2, a)), [], 0
         for i, n in enumerate(sizes):
+            last = i == len(sizes) - 1
             piece = x[..., start:start + n]
-            out = depthwise_conv1d(piece, kernels, dilation, past, last=i == len(sizes) - 1)
+            seq = np.concatenate([past, piece, np.zeros((3, 2, a if last else 0))], axis=-1)
+            out = depthwise_conv1d(seq, kernels, dilation)
             # the frames later outputs read: the reach on both sides of the next one
-            seq = np.concatenate([past, piece], axis=-1)
-            past = seq[..., out.shape[-1]:]
-            assert past.shape[-1] <= 2 * a or i == len(sizes) - 1
+            past = seq[..., out.shape[-1]:past.shape[-1] + n]
+            assert past.shape[-1] <= 2 * a or last
             outs.append(out)
             start += n
         assert np.array_equal(np.concatenate(outs, axis=-1), whole), sizes
 
 
 def test_depthwise_conv_errors():
-    x, past = np.zeros((3, 10)), np.zeros((3, 4))
+    x = np.zeros((3, 10))
     with pytest.raises(ConfigError):
-        depthwise_conv1d(x, np.zeros((3, 4)), 1, past, True)
+        depthwise_conv1d(x, np.zeros((3, 4)), 1)
     with pytest.raises(ConfigError):
-        depthwise_conv1d(x, np.zeros((3, 3)), 0, past, True)
+        depthwise_conv1d(x, np.zeros((3, 3)), 0)
     with pytest.raises(ShapeError):
-        depthwise_conv1d(x, np.zeros((2, 3)), 1, past, True)
-    # a carry shorter than the reach would leave outputs unwritten
-    with pytest.raises(ShapeError, match="at least 2 frames"):
-        depthwise_conv1d(x, np.zeros((3, 3)), 2, np.zeros((3, 1)), True)
-    with pytest.raises(ShapeError):
-        depthwise_conv1d(x, np.zeros((3, 3)), 1, np.zeros((2, 1)), True)
+        depthwise_conv1d(x, np.zeros((2, 3)), 1)
+    # an input shorter than the two reaches has no frame whose taps all arrived
+    assert depthwise_conv1d(np.zeros((3, 2, 3)), np.zeros((3, 3)), 2).shape == (3, 2, 0)
 
 
 def test_glu():

@@ -139,9 +139,9 @@ def test_every_model_config_field_is_an_int():
 
 
 def test_cli_import_loads_no_scipy():
-    """`import vocalrestore.cli` loads no scipy module: the stages that need
-    scipy import it when they run, so the restore commands do not pay for it
-    at start-up."""
+    """`import vocalrestore.cli` loads no scipy module: the package runs on
+    numpy alone, so the restore commands pay for no scipy import at
+    start-up."""
     code = ("import sys, vocalrestore.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -180,3 +180,30 @@ def test_synthesis_and_ranking_load_no_scipy():
     result = subprocess.run([sys.executable, "-c", _SYNTH_AND_RANK], capture_output=True,
                             text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@given(st.integers())
+@settings(database=None)
+def test_fails(n):
+    assert n < 5
+"""
+
+
+def test_failing_property_test_shows_its_example(tmp_path):
+    """Under the project's pytest configuration, which makes warnings
+    errors, a failing hypothesis test reports its falsifying example: no
+    warning raised inside the hypothesis plugin's report hook turns the
+    failure into an INTERNALERROR."""
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY)
+    root = SRC.parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(root / "pyproject.toml"), "--rootdir", str(root), "test_property.py"],
+        capture_output=True, text=True, cwd=tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr
